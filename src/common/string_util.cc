@@ -2,9 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/check.h"
 
 namespace condensa {
 
@@ -68,6 +71,19 @@ bool ParseInt(std::string_view text, int* value) {
   return true;
 }
 
+bool ParseSize(std::string_view text, std::size_t* value) {
+  std::string_view stripped = StripWhitespace(text);
+  if (stripped.empty()) return false;
+  const char* end = stripped.data() + stripped.size();
+  std::size_t parsed = 0;
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, and out-of-range input fails instead of wrapping.
+  auto [ptr, ec] = std::from_chars(stripped.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  *value = parsed;
+  return true;
+}
+
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator) {
   std::string out;
@@ -87,6 +103,17 @@ std::string FormatDouble(double value, int precision) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
   return buffer;
+}
+
+void AppendExactDouble(std::string& out, double value) {
+  // to_chars with an explicit precision is specified as printf's %.*g,
+  // without printf's format parsing and locale machinery.
+  char buffer[kMaxExactDoubleChars];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  CONDENSA_DCHECK(result.ec == std::errc());
+  out.append(buffer, result.ptr);
 }
 
 }  // namespace condensa

@@ -24,28 +24,82 @@ struct CentroidIndexMetrics {
 
 }  // namespace
 
+void CentroidIndex::MakeStale(std::size_t entry) {
+  group_of_entry_[entry] = kNone;
+  ++stale_entries_;
+}
+
+void CentroidIndex::EraseDirty(std::size_t pos) {
+  const std::size_t moved = dirty_.back();
+  dirty_[pos] = moved;
+  slots_[moved].dirty_pos = pos;
+  dirty_.pop_back();
+}
+
+bool CentroidIndex::TrackAppended(std::size_t num_groups) {
+  if (slots_.size() > num_groups) return false;
+  while (slots_.size() < num_groups) {
+    slots_.push_back(Slot{kNone, dirty_.size()});
+    dirty_.push_back(slots_.size() - 1);
+  }
+  return true;
+}
+
 void CentroidIndex::NoteGroupUpdated(std::size_t group_id) {
+  // Ids past the tracked count are appended groups, dirty already.
+  if (!tree_ || group_id >= slots_.size()) return;
+  Slot& slot = slots_[group_id];
+  if (slot.entry == kNone) return;  // dirty already
+  MakeStale(slot.entry);
+  slot.entry = kNone;
+  slot.dirty_pos = dirty_.size();
+  dirty_.push_back(group_id);
+}
+
+void CentroidIndex::NoteGroupRemoved(const CondensedGroupSet& groups,
+                                     std::size_t group_id) {
   if (!tree_) return;
-  if (group_id >= dirty_.size()) {
-    // The set grew without an Invalidate call; drop the stale snapshot.
+  // RemoveGroup moved the group that was last (id num_groups()) into
+  // `group_id`; appended groups up to it must be tracked first.
+  const std::size_t last = groups.num_groups();
+  if (group_id > last || !TrackAppended(last + 1)) {
     Invalidate();
     return;
   }
-  if (!dirty_[group_id]) {
-    dirty_[group_id] = true;
-    ++dirty_count_;
+  // Retire the removed group's entry or dirty-list slot ...
+  const Slot removed = slots_[group_id];
+  if (removed.entry != kNone) {
+    MakeStale(removed.entry);
+  } else {
+    EraseDirty(removed.dirty_pos);
   }
+  // ... and renumber the moved one, wherever it lives.
+  if (group_id != last) {
+    const Slot moved = slots_[last];
+    slots_[group_id] = moved;
+    if (moved.entry != kNone) {
+      group_of_entry_[moved.entry] = group_id;
+    } else {
+      dirty_[moved.dirty_pos] = group_id;
+    }
+  }
+  slots_.pop_back();
 }
 
 void CentroidIndex::Invalidate() {
   tree_.reset();
   centroids_.reset();
+  group_of_entry_.clear();
+  slots_.clear();
   dirty_.clear();
-  dirty_count_ = 0;
+  stale_entries_ = 0;
+  compares_since_rebuild_ = 0;
 }
 
-bool CentroidIndex::TooDirty() const {
-  return dirty_count_ * 4 >= dirty_.size();
+bool CentroidIndex::NeedsRebuild() const {
+  const std::size_t snapshot = centroids_->size();
+  return compares_since_rebuild_ >= kRebuildWorkMultiple * snapshot ||
+         dirty_.size() * 4 >= snapshot || stale_entries_ * 4 >= snapshot;
 }
 
 void CentroidIndex::Rebuild(const CondensedGroupSet& groups) {
@@ -56,10 +110,19 @@ void CentroidIndex::Rebuild(const CondensedGroupSet& groups) {
   }
   StatusOr<index::KdTree> tree = index::KdTree::Build(*centroids);
   CONDENSA_CHECK(tree.ok());  // non-empty, consistent dims by construction
-  centroids_ = std::move(centroids);
+  // Release the old tree before its point array.
   tree_ = std::make_unique<index::KdTree>(std::move(*tree));
-  dirty_.assign(centroids_->size(), false);
-  dirty_count_ = 0;
+  centroids_ = std::move(centroids);
+  const std::size_t n = centroids_->size();
+  group_of_entry_.resize(n);
+  slots_.resize(n);
+  for (std::size_t id = 0; id < n; ++id) {
+    group_of_entry_[id] = id;
+    slots_[id] = Slot{id, kNone};
+  }
+  dirty_.clear();
+  stale_entries_ = 0;
+  compares_since_rebuild_ = 0;
   CentroidIndexMetrics::Get().rebuilds.Increment();
 }
 
@@ -72,20 +135,18 @@ std::size_t CentroidIndex::NearestGroup(const CondensedGroupSet& groups,
     metrics.scan_fallbacks.Increment();
     return groups.NearestGroup(point);
   }
-  if (!tree_ || TooDirty()) {
+  if (!tree_ || !TrackAppended(num_groups) || NeedsRebuild()) {
     Rebuild(groups);
   }
 
-  // One filtered traversal finds the best *clean* snapshot entry under
-  // the key (squared snapshot distance, group id); dirty groups are
-  // compared exactly below.
-  std::vector<std::pair<double, std::size_t>> clean =
-      tree_->KNearestKeyed(point, 1, [this](std::size_t i) {
-        return dirty_[i] ? index::KdTree::kSkipPoint : i;
-      });
+  // One filtered traversal finds the best clean group under the key
+  // (squared snapshot distance, current group id); stale entries are
+  // skipped and dirty groups are compared exactly below.
+  std::vector<std::pair<double, std::size_t>> clean = tree_->KNearestKeyed(
+      point, 1, [this](std::size_t entry) { return group_of_entry_[entry]; });
   if (clean.empty()) {
-    // Every group dirty (only possible for tiny snapshots given the
-    // TooDirty rebuild); the scan is the answer.
+    // Every entry stale (only possible for tiny snapshots given the
+    // rebuild rule); the scan is the answer.
     metrics.scan_fallbacks.Increment();
     return groups.NearestGroup(point);
   }
@@ -105,9 +166,8 @@ std::size_t CentroidIndex::NearestGroup(const CondensedGroupSet& groups,
     }
   };
   consider(clean.front().second);
-  for (std::size_t id = 0; id < dirty_.size(); ++id) {
-    if (dirty_[id]) consider(id);
-  }
+  for (std::size_t id : dirty_) consider(id);
+  compares_since_rebuild_ += 1 + dirty_.size();
   CONDENSA_DCHECK_LT(best, num_groups);
   return best;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -67,26 +68,14 @@ bool ParseSequence(const std::string& name, const std::string& prefix,
       name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
     return false;
   }
-  int parsed = 0;
-  if (!ParseInt(name.substr(prefix.size(),
-                            name.size() - prefix.size() - suffix.size()),
-                &parsed) ||
-      parsed < 0) {
-    return false;
-  }
-  *sequence = static_cast<std::size_t>(parsed);
-  return true;
+  return ParseSize(name.substr(prefix.size(),
+                              name.size() - prefix.size() - suffix.size()),
+                   sequence);
 }
 
 std::string JournalHeader(std::size_t sequence) {
   return std::string(kJournalMagic) + " base " + std::to_string(sequence) +
          "\n";
-}
-
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
 }
 
 // One journal entry: "<op> v0 ... vd-1 .\n". The trailing "." marks a
@@ -95,7 +84,7 @@ std::string JournalLine(char op, const linalg::Vector& record) {
   std::string line(1, op);
   for (std::size_t j = 0; j < record.dim(); ++j) {
     line += ' ';
-    AppendDouble(line, record[j]);
+    AppendExactDouble(line, record[j]);
   }
   line += " .\n";
   return line;
@@ -119,13 +108,27 @@ bool ParseJournalLine(const std::string& line, std::size_t dim, char* op,
   return (stream >> token) && token == "." && !(stream >> token);
 }
 
-}  // namespace
+// The snapshot's contents by reference, so a snapshot of a live
+// condenser is written without first copying its group set.
+struct StateRef {
+  const CondensedGroupSet& groups;
+  const std::optional<GroupStatistics>& forming;
+  std::size_t split_count;
+  std::size_t merge_count;
+  std::size_t records_seen;
+  bool bootstrapped;
+};
 
-std::string SerializeCondenserState(const DynamicCondenser::State& state,
-                                    std::size_t sequence) {
+std::string SerializeStateRef(const StateRef& state, std::size_t sequence) {
   const bool forming =
       state.forming.has_value() && state.forming->count() > 0;
-  std::string out = kSnapshotMagic;
+  // One allocation for the document: the header line and the end marker
+  // take under 192 bytes (20-digit counts included). A forming buffer is
+  // open only during pure-stream warm-up, while the group set is empty,
+  // so growing the string for it costs next to nothing.
+  std::string out;
+  out.reserve(192 + GroupSetSizeBound(state.groups));
+  out += kSnapshotMagic;
   out += "\nseq ";
   out += std::to_string(sequence);
   out += " records ";
@@ -139,7 +142,7 @@ std::string SerializeCondenserState(const DynamicCondenser::State& state,
   out += " forming ";
   out += forming ? '1' : '0';
   out += '\n';
-  out += SerializeGroupSet(state.groups);
+  AppendGroupSet(state.groups, out);
   if (forming) {
     // The forming buffer rides along as a one-group set of the same k.
     CondensedGroupSet wrapper(state.groups.dim(),
@@ -147,10 +150,29 @@ std::string SerializeCondenserState(const DynamicCondenser::State& state,
     wrapper.SetBackend(state.groups.backend_id(),
                        state.groups.backend_version());
     wrapper.AddGroup(*state.forming);
-    out += SerializeGroupSet(wrapper);
+    AppendGroupSet(wrapper, out);
   }
   out += "end\n";
   return out;
+}
+
+}  // namespace
+
+std::string SerializeCondenserState(const DynamicCondenser::State& state,
+                                    std::size_t sequence) {
+  return SerializeStateRef({state.groups, state.forming, state.split_count,
+                            state.merge_count, state.records_seen,
+                            state.bootstrapped},
+                           sequence);
+}
+
+std::string SerializeCondenserState(const DynamicCondenser& condenser,
+                                    std::size_t sequence) {
+  return SerializeStateRef(
+      {condenser.groups(), condenser.forming(), condenser.split_count(),
+       condenser.merge_count(), condenser.records_seen(),
+       condenser.bootstrapped()},
+      sequence);
 }
 
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
@@ -162,21 +184,22 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
   }
 
   std::string keyword;
-  int seq = 0, records = 0, splits = 0, merges = 0, bootstrapped = 0,
-      forming = 0;
+  // Counters are size_t end to end: a long-lived server passes 2^31
+  // records, and its snapshots must stay recoverable.
+  std::size_t seq = 0, records = 0, splits = 0, merges = 0, bootstrapped = 0,
+              forming = 0;
   std::string token;
-  auto next_int = [&stream, &token](int* value) {
-    return static_cast<bool>(stream >> token) && ParseInt(token, value) &&
-           *value >= 0;
+  auto next_size = [&stream, &token](std::size_t* value) {
+    return static_cast<bool>(stream >> token) && ParseSize(token, value);
   };
-  if (!(stream >> keyword) || keyword != "seq" || !next_int(&seq) ||
-      !(stream >> keyword) || keyword != "records" || !next_int(&records) ||
-      !(stream >> keyword) || keyword != "splits" || !next_int(&splits) ||
-      !(stream >> keyword) || keyword != "merges" || !next_int(&merges) ||
+  if (!(stream >> keyword) || keyword != "seq" || !next_size(&seq) ||
+      !(stream >> keyword) || keyword != "records" || !next_size(&records) ||
+      !(stream >> keyword) || keyword != "splits" || !next_size(&splits) ||
+      !(stream >> keyword) || keyword != "merges" || !next_size(&merges) ||
       !(stream >> keyword) || keyword != "bootstrapped" ||
-      !next_int(&bootstrapped) || bootstrapped > 1 ||
-      !(stream >> keyword) || keyword != "forming" || !next_int(&forming) ||
-      forming > 1) {
+      !next_size(&bootstrapped) || bootstrapped > 1 ||
+      !(stream >> keyword) || keyword != "forming" ||
+      !next_size(&forming) || forming > 1) {
     return DataLossError("malformed snapshot header line");
   }
 
@@ -221,12 +244,12 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     CONDENSA_ASSIGN_OR_RETURN(state.groups,
                               DeserializeGroupSet(std::string(remainder)));
   }
-  state.records_seen = static_cast<std::size_t>(records);
-  state.split_count = static_cast<std::size_t>(splits);
-  state.merge_count = static_cast<std::size_t>(merges);
+  state.records_seen = records;
+  state.split_count = splits;
+  state.merge_count = merges;
   state.bootstrapped = bootstrapped == 1;
   if (sequence_out != nullptr) {
-    *sequence_out = static_cast<std::size_t>(seq);
+    *sequence_out = seq;
   }
   return state;
 }
@@ -564,8 +587,7 @@ Status DurableCondenser::WriteSnapshot() {
   const bool initial = !journal_.is_open();
   const std::size_t next = initial ? sequence_ : sequence_ + 1;
   const std::string snapshot_path = dir_ + "/" + SnapshotName(next);
-  const std::string serialized =
-      SerializeCondenserState(condenser_.ExportState(), next);
+  const std::string serialized = SerializeCondenserState(condenser_, next);
   CONDENSA_RETURN_IF_ERROR(WriteFileAtomic(snapshot_path, serialized));
   metrics.snapshots.Increment();
   metrics.snapshot_bytes.Increment(serialized.size());

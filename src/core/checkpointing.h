@@ -51,8 +51,12 @@ struct DurabilityOptions {
 };
 
 // Serialized forms of the full condenser state (the snapshot body).
-// Exposed for tests and tooling; production code uses DurableCondenser.
+// Exposed for tests and tooling; production code uses DurableCondenser,
+// which serializes its live condenser directly (same bytes as
+// serializing its ExportState(), without the copy).
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
+                                    std::size_t sequence);
+std::string SerializeCondenserState(const DynamicCondenser& condenser,
                                     std::size_t sequence);
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     const std::string& text, std::size_t* sequence_out);

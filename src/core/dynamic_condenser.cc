@@ -133,7 +133,6 @@ Status DynamicCondenser::Insert(const linalg::Vector& record) {
     forming_->Add(record);
     if (forming_->count() >= options_.group_size) {
       groups_.AddGroup(std::move(*forming_));
-      centroid_index_.Invalidate();
       forming_.reset();
     }
     return OkStatus();
@@ -149,9 +148,9 @@ Status DynamicCondenser::Insert(const linalg::Vector& record) {
         SplitResult split,
         SplitGroupStatistics(target, options_.split_rule));
     groups_.RemoveGroup(nearest);
+    centroid_index_.NoteGroupRemoved(groups_, nearest);
     groups_.AddGroup(std::move(split.lower));
     groups_.AddGroup(std::move(split.upper));
-    centroid_index_.Invalidate();
     ++split_count_;
     metrics.splits.Increment();
   }
@@ -188,7 +187,7 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
 
   if (target.count() == 0) {
     groups_.RemoveGroup(nearest);
-    centroid_index_.Invalidate();
+    centroid_index_.NoteGroupRemoved(groups_, nearest);
     return OkStatus();
   }
   if (target.count() < options_.group_size && groups_.num_groups() > 1) {
@@ -196,7 +195,7 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
     // group with the nearest centroid.
     GroupStatistics undersized = std::move(target);
     groups_.RemoveGroup(nearest);
-    centroid_index_.Invalidate();
+    centroid_index_.NoteGroupRemoved(groups_, nearest);
     std::size_t merge_into =
         centroid_index_.NearestGroup(groups_, undersized.Centroid());
     groups_.mutable_group(merge_into).Merge(undersized);
@@ -210,9 +209,9 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
                                 SplitGroupStatistics(merged,
                                                      options_.split_rule));
       groups_.RemoveGroup(merge_into);
+      centroid_index_.NoteGroupRemoved(groups_, merge_into);
       groups_.AddGroup(std::move(split.lower));
       groups_.AddGroup(std::move(split.upper));
-      centroid_index_.Invalidate();
       ++split_count_;
       metrics.splits.Increment();
     }

@@ -106,6 +106,12 @@ class DynamicCondenser {
   // Records consumed so far (bootstrap + stream).
   std::size_t records_seen() const { return records_seen_; }
 
+  // Whether Bootstrap has run.
+  bool bootstrapped() const { return bootstrapped_; }
+
+  // The pure-stream warm-up buffer, when one is open.
+  const std::optional<GroupStatistics>& forming() const { return forming_; }
+
   // Read-only view of the current group aggregates. The forming group (if
   // a pure-stream condenser has seen fewer than k records) is excluded.
   const CondensedGroupSet& groups() const { return groups_; }
@@ -120,8 +126,8 @@ class DynamicCondenser {
   DynamicCondenserOptions options_;
   CondensedGroupSet groups_;
   // Accelerates the per-record nearest-centroid lookup; derived state
-  // (never checkpointed), invalidated on group churn, and guaranteed to
-  // answer exactly like groups_.NearestGroup.
+  // (never checkpointed), told about every group update and removal, and
+  // guaranteed to answer exactly like groups_.NearestGroup.
   CentroidIndex centroid_index_;
   // Pure-stream warm-up buffer: fewer than k records, not yet a group.
   std::optional<GroupStatistics> forming_;

@@ -1,6 +1,5 @@
 #include "core/serialization.h"
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -14,12 +13,6 @@ namespace {
 
 constexpr char kMagic[] = "condensa-groups v1";
 
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
 // Reads the next whitespace-separated token as a double.
 bool NextDouble(std::istringstream& stream, double* value) {
   std::string token;
@@ -30,16 +23,25 @@ bool NextDouble(std::istringstream& stream, double* value) {
 bool NextSize(std::istringstream& stream, std::size_t* value) {
   std::string token;
   if (!(stream >> token)) return false;
-  int parsed = 0;
-  if (!ParseInt(token, &parsed) || parsed < 0) return false;
-  *value = static_cast<std::size_t>(parsed);
-  return true;
+  return ParseSize(token, value);
 }
 
 }  // namespace
 
-std::string SerializeGroupSet(const CondensedGroupSet& groups) {
-  std::string out = kMagic;
+std::size_t GroupSetSizeBound(const CondensedGroupSet& groups) {
+  // The fixed text is under 64 bytes in the header lines and 16 per
+  // group; every count renders in at most 20 digits and every double in
+  // at most kMaxExactDoubleChars, each after one separator.
+  constexpr std::size_t kCount = 20;
+  constexpr std::size_t kValue = 1 + kMaxExactDoubleChars;
+  const std::size_t d = groups.dim();
+  const std::size_t values = d + d * (d + 1) / 2;
+  return 64 + 4 * kCount + groups.backend_id().size() +
+         groups.num_groups() * (16 + kCount + values * kValue);
+}
+
+void AppendGroupSet(const CondensedGroupSet& groups, std::string& out) {
+  out += kMagic;
   out += "\ndim ";
   out += std::to_string(groups.dim());
   out += " k ";
@@ -66,18 +68,24 @@ std::string SerializeGroupSet(const CondensedGroupSet& groups) {
     out += "\nfs";
     for (std::size_t j = 0; j < d; ++j) {
       out += ' ';
-      AppendDouble(out, group.first_order()[j]);
+      AppendExactDouble(out, group.first_order()[j]);
     }
     out += "\nsc";
     // Upper triangle including the diagonal; Sc is symmetric.
     for (std::size_t i = 0; i < d; ++i) {
       for (std::size_t j = i; j < d; ++j) {
         out += ' ';
-        AppendDouble(out, group.second_order()(i, j));
+        AppendExactDouble(out, group.second_order()(i, j));
       }
     }
     out += '\n';
   }
+}
+
+std::string SerializeGroupSet(const CondensedGroupSet& groups) {
+  std::string out;
+  out.reserve(GroupSetSizeBound(groups));
+  AppendGroupSet(groups, out);
   return out;
 }
 
@@ -201,7 +209,7 @@ std::string SerializePools(const CondensedPools& pools) {
     out += " splits ";
     out += std::to_string(pool.splits);
     out += '\n';
-    out += SerializeGroupSet(pool.groups);
+    AppendGroupSet(pool.groups, out);
   }
   return out;
 }

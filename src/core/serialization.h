@@ -10,6 +10,7 @@
 #ifndef CONDENSA_CORE_SERIALIZATION_H_
 #define CONDENSA_CORE_SERIALIZATION_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/status.h"
@@ -20,6 +21,12 @@ namespace condensa::core {
 
 // Renders `groups` in the condensa-groups v1 text format.
 std::string SerializeGroupSet(const CondensedGroupSet& groups);
+
+// Appends SerializeGroupSet(groups) to `out`, for documents that embed a
+// group set. GroupSetSizeBound is an upper bound on the rendered size, so
+// a writer that reserves it appends the whole document into one buffer.
+void AppendGroupSet(const CondensedGroupSet& groups, std::string& out);
+std::size_t GroupSetSizeBound(const CondensedGroupSet& groups);
 
 // Parses the text format. Fails with DataLoss on malformed input and
 // InvalidArgument on inconsistent headers (wrong magic, bad counts).

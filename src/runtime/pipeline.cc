@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -19,19 +18,13 @@ double SteadyNowMs() {
       .count();
 }
 
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
 // One spool entry: "s v0 ... vd-1 .\n" — the journal's line discipline
 // (trailing "." marks a complete record) so torn tails are detectable.
 std::string SpoolLine(const linalg::Vector& record) {
   std::string line(1, 's');
   for (std::size_t j = 0; j < record.dim(); ++j) {
     line += ' ';
-    AppendDouble(line, record[j]);
+    AppendExactDouble(line, record[j]);
   }
   line += " .\n";
   return line;

@@ -1,6 +1,5 @@
 #include "runtime/quarantine.h"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -71,9 +70,7 @@ Status QuarantineWriter::Write(const linalg::Vector& record,
   line += '\t';
   for (std::size_t j = 0; j < record.dim(); ++j) {
     if (j > 0) line += ',';
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", record[j]);
-    line += buffer;
+    AppendExactDouble(line, record[j]);
   }
   line += '\n';
   std::lock_guard<std::mutex> lock(*mu_);

@@ -123,7 +123,7 @@ StatusOr<core::CondensedGroupSet> Coordinator::Gather(
       core::GroupStatistics undersized =
           std::move(global.mutable_group(victim));
       global.RemoveGroup(victim);
-      index.Invalidate();
+      index.NoteGroupRemoved(global, victim);
       const std::size_t target =
           index.NearestGroup(global, undersized.Centroid());
       global.mutable_group(target).Merge(undersized);
@@ -137,9 +137,9 @@ StatusOr<core::CondensedGroupSet> Coordinator::Gather(
             core::SplitResult split,
             core::SplitGroupStatistics(merged, options_.split_rule));
         global.RemoveGroup(target);
+        index.NoteGroupRemoved(global, target);
         global.AddGroup(std::move(split.lower));
         global.AddGroup(std::move(split.upper));
-        index.Invalidate();
         ++local.splits;
         metrics.splits.Increment();
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <optional>
 #include <string>
 #include <utility>
@@ -118,6 +119,122 @@ TEST_F(CheckpointingTest, StateRoundTripPreservesFormingBuffer) {
     ASSERT_TRUE(rebuilt->Insert(MakeRecord(rng, 2, 1.0)).ok());
   }
   EXPECT_GE(rebuilt->groups().num_groups(), 1u);
+}
+
+// Options with only the group size set (spelled out rather than as a
+// designated initializer, which -Wextra flags for the hook fields).
+DynamicCondenserOptions GroupSize(std::size_t k) {
+  DynamicCondenserOptions options;
+  options.group_size = k;
+  return options;
+}
+
+TEST_F(CheckpointingTest, LiveSerializationMatchesExportedState) {
+  // DurableCondenser serializes its live condenser; the bytes must be
+  // those of serializing the exported copy, with and without a forming
+  // buffer.
+  DynamicCondenser streaming(2, GroupSize(5));
+  Rng rng(13);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(streaming.Insert(MakeRecord(rng, 2, 1.0)).ok());
+  }
+  ASSERT_TRUE(streaming.forming().has_value());
+  EXPECT_EQ(SerializeCondenserState(streaming, 9),
+            SerializeCondenserState(streaming.ExportState(), 9));
+
+  DynamicCondenser bootstrapped(3, GroupSize(4));
+  ASSERT_TRUE(bootstrapped.Bootstrap(MakeStream(40, 3, 2), rng).ok());
+  for (const Vector& record : MakeStream(200, 3, 3)) {
+    ASSERT_TRUE(bootstrapped.Insert(record).ok());
+  }
+  EXPECT_EQ(SerializeCondenserState(bootstrapped, 10),
+            SerializeCondenserState(bootstrapped.ExportState(), 10));
+}
+
+GroupStatistics PinnedGroup(std::size_t n, Vector fs, double s00, double s01,
+                            double s11) {
+  linalg::Matrix sc(2, 2);
+  sc(0, 0) = s00;
+  sc(0, 1) = s01;
+  sc(1, 0) = s01;
+  sc(1, 1) = s11;
+  return GroupStatistics::FromRawSums(n, std::move(fs), std::move(sc));
+}
+
+TEST_F(CheckpointingTest, SnapshotBytesArePinned) {
+  // A fixed state whose values take every formatting path: 17-digit and
+  // short decimals, both exponent signs, signed zero, subnormals, 2^53,
+  // DBL_MIN/DBL_MAX, and a record count past 2^31. The expected document
+  // was written by the snprintf("%.17g") serializer; snapshots must keep
+  // these exact bytes.
+  DynamicCondenser::State state;
+  state.groups = CondensedGroupSet(2, 3);
+  state.groups.AddGroup(PinnedGroup(3, Vector{0.1, -0.0}, 1.0 / 3.0,
+                                    9007199254740992.0,
+                                    4.9406564584124654e-310));
+  state.groups.AddGroup(PinnedGroup(4, Vector{123456.789, -2.5e-5}, 1e21,
+                                    1e-7, DBL_MAX));
+  state.forming =
+      PinnedGroup(1, Vector{DBL_MIN, -1e300}, 5e-324, 0.0, 100.0);
+  state.split_count = 7;
+  state.merge_count = 2;
+  state.records_seen = 3000000000u;
+  state.bootstrapped = true;
+  EXPECT_EQ(SerializeCondenserState(state, 12),
+            "condensa-snapshot v1\n"
+            "seq 12 records 3000000000 splits 7 merges 2 bootstrapped 1 "
+            "forming 1\n"
+            "condensa-groups v1\n"
+            "dim 2 k 3 groups 2\n"
+            "group n 3\n"
+            "fs 0.10000000000000001 -0\n"
+            "sc 0.33333333333333331 9007199254740992 "
+            "4.9406564584124654e-310\n"
+            "group n 4\n"
+            "fs 123456.789 -2.5000000000000001e-05\n"
+            "sc 1e+21 9.9999999999999995e-08 1.7976931348623157e+308\n"
+            "condensa-groups v1\n"
+            "dim 2 k 3 groups 1\n"
+            "group n 1\n"
+            "fs 2.2250738585072014e-308 -1.0000000000000001e+300\n"
+            "sc 4.9406564584124654e-324 0 100\n"
+            "end\n");
+}
+
+TEST_F(CheckpointingTest, CountersPast2To31RoundTrip) {
+  // A long-lived server passes INT_MAX records; its snapshots (header
+  // counters and file-name sequence numbers alike) must stay
+  // recoverable.
+  DynamicCondenser condenser(3, GroupSize(4));
+  Rng rng(14);
+  ASSERT_TRUE(condenser.Bootstrap(MakeStream(20, 3, 4), rng).ok());
+  DynamicCondenser::State state = condenser.ExportState();
+  state.records_seen = 3'000'000'000u;
+  state.split_count = (std::size_t{1} << 32) + 5;
+  state.merge_count = 2'147'483'648u;
+  const std::size_t sequence = 4'000'000'000u;
+
+  std::size_t parsed_sequence = 0;
+  auto parsed = DeserializeCondenserState(
+      SerializeCondenserState(state, sequence), &parsed_sequence);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed_sequence, sequence);
+  EXPECT_EQ(parsed->records_seen, state.records_seen);
+  EXPECT_EQ(parsed->split_count, state.split_count);
+  EXPECT_EQ(parsed->merge_count, state.merge_count);
+
+  // Recover finds the generation by its file name.
+  const std::string dir = FreshDir();
+  ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-4000000000.condensa",
+                              SerializeCondenserState(state, sequence))
+                  .ok());
+  auto recovered = DurableCondenser::Recover(dir, GroupSize(4), {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->snapshot_sequence(), sequence);
+  EXPECT_EQ(recovered->records_seen(), state.records_seen);
+  EXPECT_EQ(recovered->condenser().split_count(), state.split_count);
+  ASSERT_TRUE(recovered->Insert(MakeRecord(rng, 3, 0.0)).ok());
+  EXPECT_EQ(recovered->records_seen(), state.records_seen + 1);
 }
 
 TEST_F(CheckpointingTest, CreateWritesInitialGenerationAndRefusesReuse) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <limits>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -146,6 +148,96 @@ TEST(SerializationTest, LoadMissingFileIsNotFound) {
   auto result = LoadGroupSet("/nonexistent/groups.txt");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(IsNotFound(result.status()));
+}
+
+TEST(SerializationTest, CountsPast2To31RoundTrip) {
+  // Group sizes (and pool split counts) are size_t; a parser limited to
+  // int would turn a large aggregate into a corrupt document.
+  const std::string text =
+      "condensa-groups v1\n"
+      "dim 1 k 3000000000 groups 1\n"
+      "group n 3000000000\n"
+      "fs 1.5\n"
+      "sc 2.25\n";
+  auto groups = DeserializeGroupSet(text);
+  ASSERT_TRUE(groups.ok()) << groups.status();
+  EXPECT_EQ(groups->indistinguishability_level(), 3'000'000'000u);
+  EXPECT_EQ(groups->group(0).count(), 3'000'000'000u);
+  EXPECT_EQ(SerializeGroupSet(*groups), text);
+}
+
+TEST(SerializationTest, SizeBoundCoversWorstCaseDocuments) {
+  // Writers reserve GroupSetSizeBound and append into that one buffer;
+  // the bound must hold for the longest counts and values there are.
+  const double longest = -2.2250738585072014e-308;
+  std::string rendered;
+  AppendExactDouble(rendered, longest);
+  ASSERT_EQ(rendered.size(), kMaxExactDoubleChars);
+  for (std::size_t dim : {1u, 3u, 10u}) {
+    const std::size_t huge = std::numeric_limits<std::size_t>::max();
+    CondensedGroupSet groups(dim, huge);
+    groups.SetBackend(std::string(40, 'b'),
+                      std::numeric_limits<int>::max());
+    for (int g = 0; g < 5; ++g) {
+      Vector fs(dim);
+      linalg::Matrix sc(dim, dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        fs[i] = longest;
+        for (std::size_t j = 0; j < dim; ++j) sc(i, j) = longest;
+      }
+      groups.AddGroup(GroupStatistics::FromRawSums(huge, std::move(fs),
+                                                   std::move(sc)));
+    }
+    EXPECT_LE(SerializeGroupSet(groups).size(), GroupSetSizeBound(groups))
+        << "dim " << dim;
+  }
+}
+
+TEST(PoolsSerializationTest, BytesArePinned) {
+  // Values take every formatting path (see the snapshot counterpart in
+  // checkpointing_test.cc); the expected document was written by the
+  // snprintf("%.17g") serializer and must not change.
+  auto group = [](std::size_t n, Vector fs, double s00, double s01,
+                  double s11) {
+    linalg::Matrix sc(2, 2);
+    sc(0, 0) = s00;
+    sc(0, 1) = s01;
+    sc(1, 0) = s01;
+    sc(1, 1) = s11;
+    return GroupStatistics::FromRawSums(n, std::move(fs), std::move(sc));
+  };
+  CondensedGroupSet first(2, 3);
+  first.AddGroup(group(3, Vector{0.1, -0.0}, 1.0 / 3.0, 9007199254740992.0,
+                       4.9406564584124654e-310));
+  first.AddGroup(
+      group(4, Vector{123456.789, -2.5e-5}, 1e21, 1e-7, DBL_MAX));
+  CondensedGroupSet second(2, 3);
+  second.AddGroup(
+      group(1, Vector{DBL_MIN, -1e300}, 5e-324, 0.0, 100.0));
+  CondensedPools pools;
+  pools.task = data::TaskType::kClassification;
+  pools.feature_dim = 2;
+  pools.pools.push_back(CondensedPools::Pool{0, 5, std::move(first)});
+  pools.pools.push_back(CondensedPools::Pool{1, 0, std::move(second)});
+  EXPECT_EQ(SerializePools(pools),
+            "condensa-pools v1\n"
+            "task 1 feature_dim 2 pools 2\n"
+            "pool label 0 splits 5\n"
+            "condensa-groups v1\n"
+            "dim 2 k 3 groups 2\n"
+            "group n 3\n"
+            "fs 0.10000000000000001 -0\n"
+            "sc 0.33333333333333331 9007199254740992 "
+            "4.9406564584124654e-310\n"
+            "group n 4\n"
+            "fs 123456.789 -2.5000000000000001e-05\n"
+            "sc 1e+21 9.9999999999999995e-08 1.7976931348623157e+308\n"
+            "pool label 1 splits 0\n"
+            "condensa-groups v1\n"
+            "dim 2 k 3 groups 1\n"
+            "group n 1\n"
+            "fs 2.2250738585072014e-308 -1.0000000000000001e+300\n"
+            "sc 4.9406564584124654e-324 0 100\n");
 }
 
 TEST(PoolsSerializationTest, ClassificationRoundTrip) {
