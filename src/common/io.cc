@@ -3,9 +3,11 @@
 #include <dirent.h>
 #include <errno.h>
 #include <fcntl.h>
+#include <limits.h>
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,31 +26,56 @@ Status ErrnoError(StatusCode code, const std::string& what,
   return Status(code, what + " " + path + ": " + std::strerror(errno));
 }
 
-// Writes all of `data` to `fd`, honouring an already-taken failpoint
-// decision: a torn decision writes only the configured prefix and then
-// reports the armed status, leaving the file exactly as a crash would.
-Status WriteAllWithDecision(int fd, const std::string& data,
+// Writes the concatenation of `pieces` to `fd` with writev, in batches of
+// at most IOV_MAX buffers, honouring an already-taken failpoint decision:
+// a torn decision writes only the configured prefix of the concatenation
+// and then reports the armed status, leaving the file exactly as a crash
+// would.
+Status WriteAllWithDecision(int fd, std::span<const std::string_view> pieces,
                             const std::string& path,
                             const FailPointDecision& decision) {
-  std::string_view payload = data;
+  std::size_t remaining = 0;
+  for (std::string_view piece : pieces) remaining += piece.size();
   if (decision.fail) {
     if (decision.mode != FailPointMode::kTornWrite) {
       return decision.status;
     }
     std::size_t keep = decision.torn_bytes == static_cast<std::size_t>(-1)
-                           ? payload.size() / 2
+                           ? remaining / 2
                            : decision.torn_bytes;
-    payload = payload.substr(0, std::min(keep, payload.size()));
+    remaining = std::min(keep, remaining);
   }
-  std::size_t written = 0;
-  while (written < payload.size()) {
-    ssize_t n = ::write(fd, payload.data() + written,
-                        payload.size() - written);
+  // The next unwritten byte is pieces[index][offset].
+  std::size_t index = 0;
+  std::size_t offset = 0;
+  iovec batch[IOV_MAX];
+  while (remaining > 0) {
+    int count = 0;
+    std::size_t budget = remaining;
+    for (std::size_t i = index, skip = offset;
+         i < pieces.size() && count < IOV_MAX && budget > 0; ++i, skip = 0) {
+      const std::size_t len = std::min(pieces[i].size() - skip, budget);
+      if (len == 0) continue;
+      batch[count++] = {const_cast<char*>(pieces[i].data() + skip), len};
+      budget -= len;
+    }
+    ssize_t n = ::writev(fd, batch, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return ErrnoError(StatusCode::kDataLoss, "short write to", path);
     }
-    written += static_cast<std::size_t>(n);
+    std::size_t advance = static_cast<std::size_t>(n);
+    remaining -= advance;
+    while (advance > 0) {
+      const std::size_t left = pieces[index].size() - offset;
+      if (advance < left) {
+        offset += advance;
+        break;
+      }
+      advance -= left;
+      ++index;
+      offset = 0;
+    }
   }
   if (decision.fail) {
     return decision.status;  // torn: prefix is on disk, call still fails
@@ -108,6 +135,12 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {
+  const std::string_view piece = content;
+  return WriteFileAtomic(path, std::span<const std::string_view>(&piece, 1));
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const std::string_view> pieces) {
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
   int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
@@ -115,7 +148,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
     return ErrnoError(StatusCode::kInvalidArgument, "cannot open", temp);
   }
   FailPointDecision decision = FailPoint::Check("io.atomic_write");
-  Status status = WriteAllWithDecision(fd, content, temp, decision);
+  Status status = WriteAllWithDecision(fd, pieces, temp, decision);
   if (status.ok()) {
     status = SyncFd(fd, temp);
   }
@@ -223,7 +256,9 @@ Status AppendFile::Append(const std::string& data) {
     return FailedPreconditionError("append to closed file " + path_);
   }
   FailPointDecision decision = FailPoint::Check("io.append");
-  return WriteAllWithDecision(fd_, data, path_, decision);
+  const std::string_view piece = data;
+  return WriteAllWithDecision(
+      fd_, std::span<const std::string_view>(&piece, 1), path_, decision);
 }
 
 Status AppendFile::Sync() {

@@ -17,7 +17,9 @@
 #define CONDENSA_COMMON_IO_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -31,6 +33,13 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 // directory fsync). On any failure the previous file, if one existed, is
 // left intact; short writes report kDataLoss naming the path.
 Status WriteFileAtomic(const std::string& path, const std::string& content);
+
+// The same, with the content given as the concatenation of `pieces`,
+// gathered straight into the file (writev) without first joining them.
+// The failpoints see one write of the whole concatenation, so a torn
+// write keeps the same prefix as for the joined string.
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const std::string_view> pieces);
 
 // Creates `dir` (and missing parents). OK if it already exists.
 Status CreateDirectories(const std::string& dir);

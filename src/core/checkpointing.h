@@ -11,7 +11,8 @@
 //   snapshot-NNNNNN.condensa   full state: a small header plus the group
 //                              set (and forming buffer) in the v1 text
 //                              format of core/serialization.h. Written
-//                              atomically (temp + fsync + rename).
+//                              atomically (temp + fsync + rename), each
+//                              unchanged group from a GroupTextCache.
 //   journal-NNNNNN.log         append-only record log since snapshot N;
 //                              one fsync'd line per Insert/Remove.
 //
@@ -31,7 +32,10 @@
 #define CONDENSA_CORE_CHECKPOINTING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/io.h"
@@ -51,15 +55,36 @@ struct DurabilityOptions {
 };
 
 // Serialized forms of the full condenser state (the snapshot body).
-// Exposed for tests and tooling; production code uses DurableCondenser,
-// which serializes its live condenser directly (same bytes as
-// serializing its ExportState(), without the copy).
+// Exposed for tests and tooling: DurableCondenser writes the same bytes
+// from its GroupTextCache, and tests compare its files with these.
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
                                     std::size_t sequence);
 std::string SerializeCondenserState(const DynamicCondenser& condenser,
                                     std::size_t sequence);
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     const std::string& text, std::size_t* sequence_out);
+
+// Each group's snapshot text (core/serialization.h's AppendGroup), kept
+// from one snapshot to the next and keyed by GroupStatistics::version().
+// A version changes on every mutation of a group and copies share it only
+// with equal values, so an entry found under a group's version is that
+// group's text. Between two snapshots only the groups the stream touched
+// have new versions; the rest are written from the cache.
+class GroupTextCache {
+ public:
+  // Appends to `pieces` the text of every group of `groups`, in order:
+  // the cached text for versions the previous call saw, freshly rendered
+  // text for the rest. Entries for versions not in `groups` are dropped,
+  // so the cache holds the text of one group set. The views stay valid
+  // until the next call.
+  void Render(const CondensedGroupSet& groups,
+              std::vector<std::string_view>& pieces);
+
+ private:
+  std::unordered_map<std::uint64_t, std::string> text_;
+  // Reused render buffer; entries are stored as exact-size copies of it.
+  std::string scratch_;
+};
 
 class DurableCondenser {
  public:
@@ -160,6 +185,9 @@ class DurableCondenser {
   AppendFile journal_;
   std::size_t sequence_ = 0;
   std::size_t appends_ = 0;
+  // The last snapshot's group text. Memory only: a recovered instance
+  // starts empty and refills on its first snapshot.
+  GroupTextCache group_text_;
   // Bytes of valid journal content, so a failed apply can truncate the
   // entry it journaled (journal contents always match applied state).
   std::size_t journal_bytes_ = 0;

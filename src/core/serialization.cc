@@ -40,7 +40,7 @@ std::size_t GroupSetSizeBound(const CondensedGroupSet& groups) {
          groups.num_groups() * (16 + kCount + values * kValue);
 }
 
-void AppendGroupSet(const CondensedGroupSet& groups, std::string& out) {
+void AppendGroupSetHeader(const CondensedGroupSet& groups, std::string& out) {
   out += kMagic;
   out += "\ndim ";
   out += std::to_string(groups.dim());
@@ -60,25 +60,32 @@ void AppendGroupSet(const CondensedGroupSet& groups, std::string& out) {
     out += std::to_string(groups.backend_version());
     out += '\n';
   }
+}
 
-  const std::size_t d = groups.dim();
-  for (const GroupStatistics& group : groups.groups()) {
-    out += "group n ";
-    out += std::to_string(group.count());
-    out += "\nfs";
-    for (std::size_t j = 0; j < d; ++j) {
+void AppendGroup(const GroupStatistics& group, std::string& out) {
+  const std::size_t d = group.dim();
+  out += "group n ";
+  out += std::to_string(group.count());
+  out += "\nfs";
+  for (std::size_t j = 0; j < d; ++j) {
+    out += ' ';
+    AppendExactDouble(out, group.first_order()[j]);
+  }
+  out += "\nsc";
+  // Upper triangle including the diagonal; Sc is symmetric.
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = i; j < d; ++j) {
       out += ' ';
-      AppendExactDouble(out, group.first_order()[j]);
+      AppendExactDouble(out, group.second_order()(i, j));
     }
-    out += "\nsc";
-    // Upper triangle including the diagonal; Sc is symmetric.
-    for (std::size_t i = 0; i < d; ++i) {
-      for (std::size_t j = i; j < d; ++j) {
-        out += ' ';
-        AppendExactDouble(out, group.second_order()(i, j));
-      }
-    }
-    out += '\n';
+  }
+  out += '\n';
+}
+
+void AppendGroupSet(const CondensedGroupSet& groups, std::string& out) {
+  AppendGroupSetHeader(groups, out);
+  for (const GroupStatistics& group : groups.groups()) {
+    AppendGroup(group, out);
   }
 }
 

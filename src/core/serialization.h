@@ -28,6 +28,14 @@ std::string SerializeGroupSet(const CondensedGroupSet& groups);
 void AppendGroupSet(const CondensedGroupSet& groups, std::string& out);
 std::size_t GroupSetSizeBound(const CondensedGroupSet& groups);
 
+// The two parts AppendGroupSet is made of: the header lines (magic,
+// counts, backend annotation), then AppendGroup for each group in order.
+// A writer that keeps each group's text between documents (see
+// DurableCondenser) renders it with AppendGroup, the only group renderer,
+// so its documents carry the same bytes.
+void AppendGroupSetHeader(const CondensedGroupSet& groups, std::string& out);
+void AppendGroup(const GroupStatistics& group, std::string& out);
+
 // Parses the text format. Fails with DataLoss on malformed input and
 // InvalidArgument on inconsistent headers (wrong magic, bad counts).
 StatusOr<CondensedGroupSet> DeserializeGroupSet(const std::string& text);

@@ -525,6 +525,10 @@ void StreamPipeline::WorkerLoop() {
     }
     in_batch_.store(false, std::memory_order_release);
     drained_.fetch_add(popped, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(drained_mu_);
+      drained_cv_.notify_all();
+    }
     metrics.batch_seconds.Observe((SteadyNowMs() - start_ms) / 1000.0);
     MaybeDrainSpool();
     PublishGauges();
@@ -561,36 +565,48 @@ void StreamPipeline::WatchdogLoop() {
 }
 
 Status StreamPipeline::Flush(double timeout_ms) {
-  const double deadline = SteadyNowMs() + timeout_ms;
-  while (true) {
-    // A record accepted into the queue either gets popped and processed
-    // (drained_) or evicted by a producer under kDropOldest (dropped);
-    // both are terminal custody states, so the barrier is their sum
-    // catching up with accepted_. Comparing counters instead of probing
-    // queue-empty + !in_batch_ avoids the window between PopBatch
-    // emptying the queue and the worker raising in_batch_.
+  const std::chrono::duration<double, std::milli> budget(timeout_ms);
+  // A record accepted into the queue either gets popped and processed
+  // (drained_) or evicted by a producer under kDropOldest (dropped);
+  // both are terminal custody states, so the barrier is their sum
+  // catching up with accepted_. Comparing counters instead of probing
+  // queue-empty + !in_batch_ avoids the window between PopBatch
+  // emptying the queue and the worker raising in_batch_. An eviction
+  // never completes the barrier on its own (the evicting record is
+  // accepted too), so the worker's per-batch notify is the wake-up.
+  std::size_t pending = 0;
+  auto settled = [&] {
     const std::size_t accepted = accepted_.load(std::memory_order_acquire);
-    const std::size_t settled = drained_.load(std::memory_order_acquire) +
-                                queue_.dropped();
-    if (settled >= accepted) {
-      return OkStatus();
-    }
-    if (finished_.load(std::memory_order_acquire)) {
-      return FailedPreconditionError("Flush after Finish");
-    }
-    if (SteadyNowMs() >= deadline) {
+    const std::size_t done =
+        drained_.load(std::memory_order_acquire) + queue_.dropped();
+    pending = done >= accepted ? 0 : accepted - done;
+    return pending == 0 || finished_.load(std::memory_order_acquire);
+  };
+  std::unique_lock<std::mutex> lock(drained_mu_);
+  // A budget past the clock's range (an infinite timeout) never expires.
+  if (budget < std::chrono::steady_clock::duration::max() / 2) {
+    if (!drained_cv_.wait_for(lock, budget, settled)) {
       return UnavailableError(
-          "Flush timed out with " + std::to_string(accepted - settled) +
+          "Flush timed out with " + std::to_string(pending) +
           " records still in flight after " + std::to_string(timeout_ms) +
           " ms");
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  } else {
+    drained_cv_.wait(lock, settled);
   }
+  if (pending > 0) {
+    return FailedPreconditionError("Flush after Finish");
+  }
+  return OkStatus();
 }
 
 StatusOr<StreamPipelineStats> StreamPipeline::Finish() {
   if (finished_.exchange(true, std::memory_order_acq_rel)) {
     return FailedPreconditionError("Finish was already called");
+  }
+  {
+    std::lock_guard<std::mutex> lock(drained_mu_);
+    drained_cv_.notify_all();  // a waiting Flush reports the Finish
   }
   queue_.Close();
   if (worker_.joinable()) {

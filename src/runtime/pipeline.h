@@ -43,11 +43,13 @@
 #define CONDENSA_RUNTIME_PIPELINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -280,8 +282,13 @@ class StreamPipeline {
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> accepted_{0};
   // Records the worker thread has fully processed (batch completed);
-  // Flush waits for drained_ + dropped to catch up with accepted_.
+  // Flush waits for drained_ + dropped to catch up with accepted_. The
+  // worker thread notifies drained_cv_ after each batch and Finish after
+  // setting finished_, each under drained_mu_, so a waiting Flush wakes
+  // as soon as its barrier is met instead of polling.
   std::atomic<std::size_t> drained_{0};
+  std::mutex drained_mu_;
+  std::condition_variable drained_cv_;
   std::atomic<std::size_t> applied_{0};
   std::atomic<std::size_t> spooled_{0};
   std::atomic<std::size_t> spool_replayed_{0};

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits.h>
+
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/failpoint.h"
 
 namespace condensa {
@@ -96,6 +102,92 @@ TEST_F(IoTest, FailedSyncLeavesPreviousFileIntact) {
   auto content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, "stable content");
+}
+
+// Pieces of varied sizes, empty ones included, and the string they join
+// into.
+std::vector<std::string> MakePieces(std::size_t count) {
+  std::vector<std::string> pieces;
+  for (std::size_t i = 0; i < count; ++i) {
+    pieces.push_back(i % 5 == 3 ? std::string()
+                                : std::string(1 + i % 7,
+                                              static_cast<char>('a' + i % 26)));
+  }
+  return pieces;
+}
+
+std::string Join(const std::vector<std::string>& pieces) {
+  std::string joined;
+  for (const std::string& piece : pieces) joined += piece;
+  return joined;
+}
+
+std::vector<std::string_view> Views(const std::vector<std::string>& pieces) {
+  return std::vector<std::string_view>(pieces.begin(), pieces.end());
+}
+
+TEST_F(IoTest, PiecesWriteMatchesTheJoinedString) {
+  // More than IOV_MAX pieces take several writev batches.
+  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                            std::size_t{IOV_MAX}, std::size_t{2 * IOV_MAX + 7}}) {
+    SCOPED_TRACE("pieces " + std::to_string(count));
+    const std::vector<std::string> pieces = MakePieces(count);
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/joined", Join(pieces)).ok());
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/pieces", Views(pieces)).ok());
+    auto joined = ReadFileToString(dir_ + "/joined");
+    auto gathered = ReadFileToString(dir_ + "/pieces");
+    ASSERT_TRUE(joined.ok());
+    ASSERT_TRUE(gathered.ok());
+    EXPECT_EQ(*gathered, *joined);
+    EXPECT_EQ(*gathered, Join(pieces));
+  }
+  // Only empty pieces: an empty file.
+  const std::vector<std::string> empties(3);
+  ASSERT_TRUE(WriteFileAtomic(dir_ + "/empty", Views(empties)).ok());
+  auto empty = ReadFileToString(dir_ + "/empty");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(*empty, "");
+}
+
+TEST_F(IoTest, TornPiecesWriteLeavesPreviousFileIntact) {
+  const std::string path = dir_ + "/file.txt";
+  ASSERT_TRUE(WriteFileAtomic(path, "stable content").ok());
+
+  // The first piece is 2 bytes and the second empty, so 3 bytes end
+  // inside the third piece; half of the payload ends in a later batch.
+  std::vector<std::string> pieces = {"ab", "", "cdefgh"};
+  for (const std::string& piece : MakePieces(3 * IOV_MAX)) {
+    pieces.push_back(piece);
+  }
+  for (std::size_t torn : {std::size_t{3}, static_cast<std::size_t>(-1)}) {
+    SCOPED_TRACE("torn_bytes " + std::to_string(torn));
+    FailPoint::Arm("io.atomic_write",
+                   {.mode = FailPointMode::kTornWrite, .torn_bytes = torn});
+    Status status = WriteFileAtomic(path, Views(pieces));
+    FailPoint::Reset();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+
+    auto content = ReadFileToString(path);
+    ASSERT_TRUE(content.ok());
+    EXPECT_EQ(*content, "stable content");
+    auto entries = ListDirectory(dir_);
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries->size(), 1u);
+    EXPECT_EQ(entries->front(), "file.txt");
+  }
+
+  // A failed rename after a full gathered write is equally invisible.
+  FailPoint::Arm("io.atomic_rename", {});
+  EXPECT_FALSE(WriteFileAtomic(path, Views(pieces)).ok());
+  FailPoint::Reset();
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, "stable content");
+
+  ASSERT_TRUE(WriteFileAtomic(path, Views(pieces)).ok());
+  content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, Join(pieces));
 }
 
 TEST_F(IoTest, AppendFileAccumulatesAcrossReopen) {

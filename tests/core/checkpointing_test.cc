@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "common/io.h"
 #include "common/random.h"
 #include "core/serialization.h"
+#include "obs/metrics.h"
 
 namespace condensa::core {
 namespace {
@@ -199,6 +201,183 @@ TEST_F(CheckpointingTest, SnapshotBytesArePinned) {
             "fs 2.2250738585072014e-308 -1.0000000000000001e+300\n"
             "sc 4.9406564584124654e-324 0 100\n"
             "end\n");
+}
+
+// The bytes of the snapshot `durable` wrote last.
+std::string LatestSnapshot(const DurableCondenser& durable) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "/snapshot-%06zu.condensa",
+                durable.snapshot_sequence());
+  auto text = ReadFileToString(durable.dir() + name);
+  EXPECT_TRUE(text.ok()) << text.status();
+  return text.ok() ? *text : std::string();
+}
+
+// Snapshots are gathered from each group's cached text; the document must
+// carry the bytes of serializing the exported state from scratch.
+void ExpectSnapshotIsExportedState(const DurableCondenser& durable) {
+  ASSERT_EQ(LatestSnapshot(durable),
+            SerializeCondenserState(durable.condenser().ExportState(),
+                                    durable.snapshot_sequence()))
+      << "snapshot " << durable.snapshot_sequence();
+}
+
+TEST_F(CheckpointingTest, IncrementalSnapshotsMatchFullSerialization) {
+  // A randomized insert/remove stream under a small snapshot interval:
+  // groups split, merge and change places (RemoveGroup swaps the last
+  // group into the hole) between snapshots. Along the way a failed split
+  // rebuilds memory from disk, and the instance is dropped and
+  // recovered, so the cache restarts empty twice. Every snapshot file
+  // must equal SerializeCondenserState of the exported state.
+  struct Case {
+    const char* label;
+    const char* backend;
+    bool bootstrap;
+  };
+  for (const Case& c : {Case{"bootstrapped", "condensation", true},
+                        Case{"pure-stream", "condensation", false},
+                        Case{"mdav", "mdav", true}}) {
+    SCOPED_TRACE(c.label);
+    DynamicCondenserOptions options = GroupSize(4);
+    options.backend = c.backend;
+    DurabilityOptions durability;
+    durability.snapshot_interval = 3;
+    durability.sync_every_append = false;
+    const std::string dir = FreshDir();
+    auto durable = DurableCondenser::Create(3, options, durability, dir);
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    ExpectSnapshotIsExportedState(*durable);
+
+    Rng rng(77);
+    std::vector<Vector> live;
+    if (c.bootstrap) {
+      live = MakeStream(40, 3, 9);
+      ASSERT_TRUE(durable->Bootstrap(live, rng).ok());
+      ExpectSnapshotIsExportedState(*durable);
+    }
+    std::size_t snapshots = 0;
+    bool saw_forming = false;
+    auto after_op = [&](std::size_t sequence_before) {
+      if (durable->snapshot_sequence() == sequence_before) return;
+      ++snapshots;
+      saw_forming |= LatestSnapshot(*durable).find(" forming 1\n") !=
+                     std::string::npos;
+      ExpectSnapshotIsExportedState(*durable);
+    };
+    for (int step = 0; step < 360; ++step) {
+      if (step == 150) {
+        // An apply failure: the split's eigensolve fails after the
+        // record was folded in, so the condenser reloads from disk.
+        FailPoint::Arm("eigen.jacobi", {.fail_at = 1});
+        bool failed = false;
+        for (int tries = 0; tries < 200 && !failed; ++tries) {
+          Vector record = MakeRecord(rng, 3, 6.0 * rng.UniformIndex(3));
+          const std::size_t before = durable->snapshot_sequence();
+          if (durable->Insert(record).ok()) {
+            live.push_back(std::move(record));
+            after_op(before);
+          } else {
+            failed = true;
+          }
+        }
+        FailPoint::Reset();
+        ASSERT_TRUE(failed) << "no insert reached a split";
+        ASSERT_TRUE(durable->Checkpoint().ok());
+        ExpectSnapshotIsExportedState(*durable);
+      }
+      if (step == 250) {
+        // Crash and recover, then keep streaming.
+        durable = DurableCondenser::Recover(dir, options, durability);
+        ASSERT_TRUE(durable.ok()) << durable.status();
+      }
+      const std::size_t before = durable->snapshot_sequence();
+      if (live.size() > 8 && rng.UniformIndex(4) == 0) {
+        const std::size_t victim = rng.UniformIndex(live.size());
+        ASSERT_TRUE(durable->Remove(live[victim]).ok()) << "step " << step;
+        live[victim] = std::move(live.back());
+        live.pop_back();
+      } else {
+        Vector record = MakeRecord(rng, 3, 6.0 * rng.UniformIndex(3));
+        ASSERT_TRUE(durable->Insert(record).ok()) << "step " << step;
+        live.push_back(std::move(record));
+      }
+      after_op(before);
+    }
+    EXPECT_GT(snapshots, 100u);
+    EXPECT_GT(durable->condenser().split_count(), 10u);
+    EXPECT_GT(durable->condenser().merge_count(), 0u);
+    EXPECT_EQ(saw_forming, !c.bootstrap);
+    EXPECT_EQ(durable->groups().backend_id(), c.backend);
+  }
+}
+
+TEST_F(CheckpointingTest, GroupTextCacheKeysByVersionAndCountsReuse) {
+  obs::DefaultRegistry().Reset();
+  CondensedGroupSet groups(2, 3);
+  groups.AddGroup(PinnedGroup(3, Vector{0.1, -0.0}, 1.0, 2.0, 3.0));
+  groups.AddGroup(PinnedGroup(4, Vector{2.5, 7.0}, 4.0, 5.0, 6.0));
+  groups.AddGroup(PinnedGroup(5, Vector{1e21, 3.0}, 7.0, 8.0, 9.0));
+  // A copy shares its source's version, and so its cached text.
+  groups.AddGroup(groups.group(0));
+  ASSERT_EQ(groups.group(3).version(), groups.group(0).version());
+
+  GroupTextCache cache;
+  auto render = [&cache, &groups]() {
+    std::vector<std::string_view> pieces;
+    cache.Render(groups, pieces);
+    EXPECT_EQ(pieces.size(), groups.num_groups());
+    std::string document;
+    AppendGroupSetHeader(groups, document);
+    for (std::string_view piece : pieces) document += piece;
+    EXPECT_EQ(document, SerializeGroupSet(groups));
+  };
+  render();  // 3 rendered, the copy reused
+  groups.mutable_group(1).Add(Vector{1.0, 1.0});
+  render();  // group 1 rendered, 3 reused
+  render();  // all 4 reused
+  groups.RemoveGroup(0);  // the copy takes its place
+  groups.mutable_group(0).Add(Vector{-1.0, 2.0});
+  render();  // the old copy rendered, 2 reused
+
+  const std::string text = obs::DefaultRegistry().DumpPrometheusText();
+  EXPECT_NE(text.find("condensa_checkpoint_snapshot_groups_rendered_total 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("condensa_checkpoint_snapshot_groups_reused_total 10\n"),
+            std::string::npos)
+      << text;
+  obs::DefaultRegistry().Reset();
+}
+
+TEST_F(CheckpointingTest, SnapshotsReuseUnchangedGroupText) {
+  // Between two snapshots only the groups the stream touched re-render.
+  obs::DefaultRegistry().Reset();
+  const std::string dir = FreshDir();
+  DurabilityOptions durability;
+  durability.snapshot_interval = 5;
+  auto durable = DurableCondenser::Create(3, GroupSize(4), durability, dir);
+  ASSERT_TRUE(durable.ok());
+  Rng rng(19);
+  ASSERT_TRUE(durable->Bootstrap(MakeStream(400, 3, 6), rng).ok());
+  const std::size_t groups = durable->groups().num_groups();
+  obs::Counter& rendered = obs::DefaultRegistry().GetCounter(
+      "condensa_checkpoint_snapshot_groups_rendered_total");
+  obs::Counter& reused = obs::DefaultRegistry().GetCounter(
+      "condensa_checkpoint_snapshot_groups_reused_total");
+  EXPECT_EQ(rendered.value(), groups);  // the bootstrap snapshot
+  EXPECT_EQ(reused.value(), 0u);
+
+  for (const Vector& record : MakeStream(5, 3, 7)) {
+    ASSERT_TRUE(durable->Insert(record).ok());
+  }
+  ASSERT_EQ(durable->snapshot_sequence(), 2u);
+  ExpectSnapshotIsExportedState(*durable);
+  // Five inserts touch at most five groups, plus two per split.
+  const std::uint64_t rerendered = rendered.value() - groups;
+  EXPECT_GE(rerendered, 1u);
+  EXPECT_LE(rerendered, 5u + 2 * durable->condenser().split_count());
+  EXPECT_EQ(rerendered + reused.value(), durable->groups().num_groups());
+  obs::DefaultRegistry().Reset();
 }
 
 TEST_F(CheckpointingTest, CountersPast2To31RoundTrip) {

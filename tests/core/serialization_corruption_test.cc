@@ -255,7 +255,8 @@ TEST(SerializationCorruptionTest, FramedDocumentsFailClosedUnderMangling) {
 
   // Truncated frames — the common partial-write shape — also fail closed
   // for every cut point.
-  const Target& target = Targets().front();
+  const std::vector<Target> targets = Targets();
+  const Target& target = targets.front();
   const std::string wire =
       net::EncodeFrame(net::FrameType::kFinishResult, target.valid);
   for (std::size_t cut = 0; cut < wire.size(); cut += 7) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -174,6 +175,82 @@ TEST(CrashRecoveryTest, EveryWriteBoundarySurvivesInjectedCrash) {
   // The sweep must actually have exercised a meaningful number of
   // distinct crash points.
   EXPECT_GT(crashes, 100u);
+}
+
+// The newest snapshot on disk must carry the bytes of serializing the
+// exported state: snapshots reuse each unchanged group's cached text, and
+// a failed write must not leave that cache out of step with the groups.
+void ExpectSnapshotIsExportedState(const DurableCondenser& durable) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "/snapshot-%06zu.condensa",
+                durable.snapshot_sequence());
+  auto text = ReadFileToString(durable.dir() + name);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_EQ(*text, SerializeCondenserState(durable.condenser().ExportState(),
+                                           durable.snapshot_sequence()));
+}
+
+TEST(CrashRecoveryTest, SnapshotFailuresAfterWarmCacheStayByteIdentical) {
+  const std::string dir =
+      ::testing::TempDir() + "/condensa_crash_recovery_warm_cache";
+  const std::string baseline = PrefixFingerprint(kStreamLen);
+  const auto torn = [](std::size_t bytes) {
+    return FailPointSpec{.mode = FailPointMode::kTornWrite,
+                         .torn_bytes = bytes};
+  };
+  const std::vector<Variant> variants = {
+      {"checkpoint.snapshot", {}, "snapshot/error"},
+      {"io.atomic_write", {}, "atomic_write/error"},
+      {"io.atomic_write", torn(static_cast<std::size_t>(-1)),
+       "atomic_write/torn-half"},
+      {"io.atomic_write", torn(3), "atomic_write/torn-3"},
+  };
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.label);
+    FailPoint::Reset();
+    WipeDir(dir);
+    auto durable =
+        DurableCondenser::Create(kDim, CondenserOptions(), Durability(), dir);
+    ASSERT_TRUE(durable.ok());
+    // Two interval snapshots warm the cache.
+    std::size_t next = 0;
+    while (durable->snapshot_sequence() < 2) {
+      ASSERT_TRUE(durable->Insert(Stream()[next++]).ok());
+    }
+    ExpectSnapshotIsExportedState(*durable);
+
+    // The next snapshot fails; its record is still acknowledged and the
+    // snapshot is retried on the following append, which must write the
+    // same bytes as a from-scratch serialization.
+    FailPoint::Arm(variant.probe, variant.spec);
+    const std::size_t failed_at = durable->snapshot_sequence();
+    while (durable->appends_since_snapshot() < Durability().snapshot_interval) {
+      ASSERT_TRUE(durable->Insert(Stream()[next++]).ok());
+    }
+    FailPoint::Reset();
+    ASSERT_EQ(durable->snapshot_sequence(), failed_at);
+    ASSERT_TRUE(durable->Insert(Stream()[next++]).ok());
+    ASSERT_EQ(durable->snapshot_sequence(), failed_at + 1);
+    ExpectSnapshotIsExportedState(*durable);
+
+    // Crash with the cache warm, recover bit-identically, and resume: the
+    // recovered instance refills its cache from nothing.
+    const std::size_t acked = next;
+    durable = DurableCondenser::Recover(dir, CondenserOptions(), Durability());
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    ASSERT_EQ(durable->records_seen(), acked);
+    ASSERT_EQ(Fingerprint(durable->condenser()), PrefixFingerprint(acked));
+    for (std::size_t i = acked; i < kStreamLen; ++i) {
+      const std::size_t before = durable->snapshot_sequence();
+      ASSERT_TRUE(durable->Insert(Stream()[i]).ok());
+      if (durable->snapshot_sequence() != before) {
+        ExpectSnapshotIsExportedState(*durable);
+      }
+    }
+    ASSERT_TRUE(durable->Checkpoint().ok());
+    ExpectSnapshotIsExportedState(*durable);
+    ASSERT_EQ(Fingerprint(durable->condenser()), baseline);
+  }
 }
 
 TEST(CrashRecoveryTest, RepeatedCrashesDuringRecoveryStillConverge) {

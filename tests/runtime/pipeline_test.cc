@@ -341,5 +341,38 @@ TEST_F(PipelineTest, RejectPolicySurfacesBackpressureToProducer) {
   EXPECT_TRUE(stats->Balanced());
 }
 
+TEST_F(PipelineTest, FlushWakesWhenAcceptedRecordsAreProcessed) {
+  auto pipeline = StreamPipeline::Start(Config());
+  ASSERT_TRUE(pipeline.ok());
+  const std::vector<Vector> records = Stream(40, 9);
+  for (const Vector& record : records) {
+    ASSERT_TRUE((*pipeline)->Submit(record).ok());
+  }
+  // The worker's per-batch notify ends the wait, not the budget running
+  // out with the barrier met by then.
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE((*pipeline)->Flush(20000.0).ok());
+  ASSERT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  EXPECT_EQ((*pipeline)->stats().applied, 40u);
+
+  // A stalled worker keeps the barrier open: the budget runs out.
+  FailPoint::Arm("io.sync", {.fail_at = 1,
+                             .repeat = static_cast<std::size_t>(-1),
+                             .mode = FailPointMode::kLatency,
+                             .latency_ms = 200.0});
+  ASSERT_TRUE((*pipeline)->Submit(records[0]).ok());
+  EXPECT_TRUE(IsUnavailable((*pipeline)->Flush(20.0)));
+  FailPoint::Disarm("io.sync");
+  // An infinite budget waits for the barrier and no longer.
+  EXPECT_TRUE(
+      (*pipeline)->Flush(std::numeric_limits<double>::infinity()).ok());
+  EXPECT_EQ((*pipeline)->stats().applied, 41u);
+
+  auto stats = (*pipeline)->Finish();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->Balanced());
+}
+
 }  // namespace
 }  // namespace condensa::runtime

@@ -8,6 +8,7 @@
 #include "shard/fabric.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -72,8 +73,11 @@ std::unique_ptr<ServerHandle> StartServer(const std::string& root) {
 class FabricTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent test processes apart: ctest runs each case
+    // in its own process, and under ASan every process allocates the
+    // fixture at the same address.
     dir_ = std::filesystem::temp_directory_path() /
-           ("condensa-fabric-test-" +
+           ("condensa-fabric-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);

@@ -2,6 +2,9 @@
 # Configures a sanitizer build (AddressSanitizer + UBSan by default) and
 # runs the full test suite under it. Any sanitizer report fails the run:
 # UBSan is made halt-on-error and ASan aborts on the first bad access.
+# The build also defines _GLIBCXX_ASSERTIONS, so libstdc++ checks bounds
+# and preconditions (front() of an empty vector, out-of-range operator[])
+# that ASan alone can miss.
 #
 # Usage:
 #   tools/run_sanitizers.sh                   # address;undefined
@@ -17,6 +20,7 @@ BUILD_DIR="${BUILD_DIR:-build-sanitize}"
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCONDENSA_SANITIZE="${SANITIZERS}" \
+  -DCMAKE_CXX_FLAGS="${CXXFLAGS:-} -D_GLIBCXX_ASSERTIONS" \
   -DCONDENSA_BUILD_BENCHMARKS=OFF \
   -DCONDENSA_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
