@@ -88,7 +88,6 @@ void CentroidIndex::NoteGroupRemoved(const CondensedGroupSet& groups,
 
 void CentroidIndex::Invalidate() {
   tree_.reset();
-  centroids_.reset();
   group_of_entry_.clear();
   slots_.clear();
   dirty_.clear();
@@ -97,23 +96,21 @@ void CentroidIndex::Invalidate() {
 }
 
 bool CentroidIndex::NeedsRebuild() const {
-  const std::size_t snapshot = centroids_->size();
+  const std::size_t snapshot = tree_->size();
   return compares_since_rebuild_ >= kRebuildWorkMultiple * snapshot ||
          dirty_.size() * 4 >= snapshot || stale_entries_ * 4 >= snapshot;
 }
 
 void CentroidIndex::Rebuild(const CondensedGroupSet& groups) {
-  auto centroids = std::make_unique<std::vector<linalg::Vector>>();
-  centroids->reserve(groups.num_groups());
+  std::vector<linalg::Vector> centroids;
+  centroids.reserve(groups.num_groups());
   for (const GroupStatistics& group : groups.groups()) {
-    centroids->push_back(group.Centroid());
+    centroids.push_back(group.Centroid());
   }
-  StatusOr<index::KdTree> tree = index::KdTree::Build(*centroids);
+  StatusOr<index::KdTree> tree = index::KdTree::Build(centroids);
   CONDENSA_CHECK(tree.ok());  // non-empty, consistent dims by construction
-  // Release the old tree before its point array.
   tree_ = std::make_unique<index::KdTree>(std::move(*tree));
-  centroids_ = std::move(centroids);
-  const std::size_t n = centroids_->size();
+  const std::size_t n = tree_->size();
   group_of_entry_.resize(n);
   slots_.resize(n);
   for (std::size_t id = 0; id < n; ++id) {

@@ -98,9 +98,8 @@ class CentroidIndex {
   void MakeStale(std::size_t entry);
   void EraseDirty(std::size_t pos);
 
-  // Centroid snapshot, heap-allocated so the tree's internal pointer
-  // survives moves of the owning condenser.
-  std::unique_ptr<std::vector<linalg::Vector>> centroids_;
+  // Tree over the centroids at the last rebuild (the snapshot); its
+  // point indices are snapshot entries.
   std::unique_ptr<index::KdTree> tree_;
   // Per snapshot entry: the current id of the group it shows, or kNone
   // when stale (the tree's skip sentinel).

@@ -171,34 +171,25 @@ void AppendSnapshotTail(const StateRef& state, std::string& out) {
   out += "end\n";
 }
 
-std::string SerializeStateRef(const StateRef& state, std::size_t sequence) {
+}  // namespace
+
+std::string SerializeCondenserState(const DynamicCondenser::State& state,
+                                    std::size_t sequence) {
+  const StateRef ref{state.groups,       state.forming,
+                     state.split_count,  state.merge_count,
+                     state.records_seen, state.bootstrapped};
   // One allocation for the document: the header line and the end marker
   // take under 192 bytes (20-digit counts included). A forming buffer is
   // open only during pure-stream warm-up, while the group set is empty,
   // so growing the string for it costs next to nothing.
   std::string out;
   out.reserve(192 + GroupSetSizeBound(state.groups));
-  AppendSnapshotHead(state, sequence, out);
+  AppendSnapshotHead(ref, sequence, out);
   for (const GroupStatistics& group : state.groups.groups()) {
     AppendGroup(group, out);
   }
-  AppendSnapshotTail(state, out);
+  AppendSnapshotTail(ref, out);
   return out;
-}
-
-}  // namespace
-
-std::string SerializeCondenserState(const DynamicCondenser::State& state,
-                                    std::size_t sequence) {
-  return SerializeStateRef({state.groups, state.forming, state.split_count,
-                            state.merge_count, state.records_seen,
-                            state.bootstrapped},
-                           sequence);
-}
-
-std::string SerializeCondenserState(const DynamicCondenser& condenser,
-                                    std::size_t sequence) {
-  return SerializeStateRef(LiveState(condenser), sequence);
 }
 
 void GroupTextCache::Render(const CondensedGroupSet& groups,

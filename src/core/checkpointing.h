@@ -54,12 +54,10 @@ struct DurabilityOptions {
   bool sync_every_append = true;
 };
 
-// Serialized forms of the full condenser state (the snapshot body).
+// Serialized form of the full condenser state (the snapshot body).
 // Exposed for tests and tooling: DurableCondenser writes the same bytes
-// from its GroupTextCache, and tests compare its files with these.
+// from its GroupTextCache, and tests compare its files with this.
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
-                                    std::size_t sequence);
-std::string SerializeCondenserState(const DynamicCondenser& condenser,
                                     std::size_t sequence);
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     const std::string& text, std::size_t* sequence_out);

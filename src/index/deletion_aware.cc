@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 
 namespace condensa::index {
 namespace {
@@ -12,12 +11,10 @@ namespace {
 struct DeletionAwareMetrics {
   obs::Counter& builds = obs::DefaultRegistry().GetCounter(
       "condensa_static_index_builds_total");
-  obs::Counter& rebuilds = obs::DefaultRegistry().GetCounter(
-      "condensa_static_index_rebuilds_total");
+  obs::Counter& collapses = obs::DefaultRegistry().GetCounter(
+      "condensa_static_index_collapses_total");
   obs::Counter& queries = obs::DefaultRegistry().GetCounter(
       "condensa_static_index_queries_total");
-  obs::Histogram& rebuild_seconds = obs::DefaultRegistry().GetHistogram(
-      "condensa_static_index_rebuild_seconds");
 
   static DeletionAwareMetrics& Get() {
     static DeletionAwareMetrics metrics;
@@ -29,21 +26,9 @@ struct DeletionAwareMetrics {
 
 StatusOr<DeletionAwareKdTree> DeletionAwareKdTree::Build(
     const std::vector<linalg::Vector>& points) {
-  DeletionAwareKdTree wrapper;
-  wrapper.indexed_points_ =
-      std::make_unique<std::vector<linalg::Vector>>(points);
-  wrapper.to_original_.resize(points.size());
-  wrapper.tree_pos_.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    wrapper.to_original_[i] = i;
-    wrapper.tree_pos_[i] = i;
-  }
-  wrapper.keys_ = wrapper.to_original_;
-  CONDENSA_ASSIGN_OR_RETURN(KdTree tree,
-                            KdTree::Build(*wrapper.indexed_points_));
-  wrapper.tree_ = std::make_unique<KdTree>(std::move(tree));
+  CONDENSA_ASSIGN_OR_RETURN(KdTree tree, KdTree::Build(points));
+  DeletionAwareKdTree wrapper(std::move(tree));
   wrapper.alive_.assign(points.size(), 1);
-  wrapper.alive_count_ = points.size();
   DeletionAwareMetrics::Get().builds.Increment();
   return wrapper;
 }
@@ -51,58 +36,21 @@ StatusOr<DeletionAwareKdTree> DeletionAwareKdTree::Build(
 void DeletionAwareKdTree::Erase(std::size_t original_index) {
   CONDENSA_DCHECK(alive_[original_index] != 0);
   alive_[original_index] = 0;
-  keys_[tree_pos_[original_index]] = KdTree::kSkipPoint;
-  --alive_count_;
-  ++dead_in_tree_;
-  // Rebuild once a quarter of the indexed points are tombstones: dead
-  // points dilute every leaf scan and widen the k-th-alive ball, and
-  // rebuilds are cheap enough (geometric shrink keeps the total at
-  // O(n log n) over a full condensation run) that a tight threshold is
-  // a net win on the query side.
-  if (alive_count_ > 0 && dead_in_tree_ * 4 > indexed_points_->size()) {
-    Rebuild();
+  if (tree_.Erase(original_index)) {
+    DeletionAwareMetrics::Get().collapses.Increment();
   }
-}
-
-void DeletionAwareKdTree::Rebuild() {
-  DeletionAwareMetrics& metrics = DeletionAwareMetrics::Get();
-  obs::ScopedTimer rebuild_timer(metrics.rebuild_seconds);
-  auto survivors = std::make_unique<std::vector<linalg::Vector>>();
-  survivors->reserve(alive_count_);
-  std::vector<std::size_t> to_original;
-  to_original.reserve(alive_count_);
-  for (std::size_t i = 0; i < indexed_points_->size(); ++i) {
-    std::size_t original = to_original_[i];
-    if (!alive_[original]) continue;
-    tree_pos_[original] = to_original.size();
-    survivors->push_back(std::move((*indexed_points_)[i]));
-    to_original.push_back(original);
-  }
-  indexed_points_ = std::move(survivors);
-  to_original_ = std::move(to_original);
-  keys_ = to_original_;
-  dead_in_tree_ = 0;
-  // Survivor points are verbatim copies of points the previous tree
-  // indexed, so the invariants Build checked still hold.
-  StatusOr<KdTree> tree = KdTree::Build(*indexed_points_);
-  CONDENSA_CHECK(tree.ok());
-  *tree_ = std::move(*tree);
-  metrics.rebuilds.Increment();
 }
 
 std::vector<std::pair<double, std::size_t>>
 DeletionAwareKdTree::KNearestAlive(const linalg::Vector& query,
                                    std::size_t k) const {
   DeletionAwareMetrics::Get().queries.Increment();
-  const std::size_t need = std::min(k, alive_count_);
+  const std::size_t need = std::min(k, alive_count());
   if (need == 0) return {};
-  // One filtered traversal: the tree skips tombstones in place and ranks
-  // candidates by (squared distance, original index) — the same key the
-  // brute-force scan sorts by, so both paths pick identical neighbour
-  // sets even on duplicate-heavy data where distances tie.
-  const std::size_t* keys = keys_.data();
-  return tree_->KNearestKeyed(query, need,
-                              [keys](std::size_t i) { return keys[i]; });
+  // The tree holds only alive points, indexed by original index, so the
+  // key is the identity: candidates rank by (squared distance, original
+  // index), the same key the brute-force scan sorts by.
+  return tree_.KNearestKeyed(query, need, [](std::size_t i) { return i; });
 }
 
 }  // namespace condensa::index

@@ -1,26 +1,24 @@
 // Deletion-aware k-NN index for the static condenser's gather loop.
 //
 // Static condensation (paper Fig. 1) repeatedly removes a seed record and
-// its k-1 nearest survivors from the database. A plain KdTree cannot
-// delete, so this wrapper keeps a tombstone bitmap over the tree's index
-// array: Erase marks a point dead, queries filter tombstones out during
-// the traversal itself (KdTree::KNearestKeyed), and once more than a
-// quarter of the indexed points are dead the tree is rebuilt over the
-// survivors (amortized O(n log n) across a whole condensation run).
+// its k-1 nearest survivors from the database. This wrapper keeps an
+// alive bitmap beside a KdTree that erases in place (KdTree::Erase):
+// each erased record leaves its leaf, and a subtree thinned to a leaf's
+// worth of survivors folds into one leaf, so the tree is built once per
+// condensation run and never rebuilt.
 //
-// Result parity with the brute-force scan is exact, not approximate:
-// the filtered traversal ranks candidates by (squared distance, original
-// index) and keeps equal-distance boundary candidates in play until the
-// key decides. The brute-force path selects by the same key, so both
-// pick identical neighbour sets even on duplicate-heavy data where
-// distances tie.
+// Result parity with the brute-force scan is exact, not approximate: the
+// tree holds only alive points and ranks candidates by (squared
+// distance, original index), keeping equal-distance boundary candidates
+// in play until the index decides. The brute-force path selects by the
+// same key, so both pick identical neighbour sets even on
+// duplicate-heavy data where distances tie.
 
 #ifndef CONDENSA_INDEX_DELETION_AWARE_H_
 #define CONDENSA_INDEX_DELETION_AWARE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,20 +30,16 @@ namespace condensa::index {
 
 class DeletionAwareKdTree {
  public:
-  // Indexes `points`. The caller must keep the vector alive and
-  // unmodified while the wrapper exists (rebuilds copy the survivors
-  // into owned storage, so the original array is only read).
+  // Indexes `points`; the array is only read during Build.
   static StatusOr<DeletionAwareKdTree> Build(
       const std::vector<linalg::Vector>& points);
 
-  std::size_t alive_count() const { return alive_count_; }
+  std::size_t alive_count() const { return tree_.size(); }
   bool alive(std::size_t original_index) const {
     return alive_[original_index] != 0;
   }
 
-  // Tombstones one point (must currently be alive). Triggers a rebuild
-  // over the survivors once more than a quarter of the indexed points
-  // are dead.
+  // Removes one point (must currently be alive) from the tree in place.
   void Erase(std::size_t original_index);
 
   // The k nearest alive points to `query`, as (squared distance,
@@ -56,28 +50,11 @@ class DeletionAwareKdTree {
       const linalg::Vector& query, std::size_t k) const;
 
  private:
-  DeletionAwareKdTree() = default;
+  explicit DeletionAwareKdTree(KdTree tree) : tree_(std::move(tree)) {}
 
-  void Rebuild();
-
-  // Points the tree currently indexes. Heap-allocated so the KdTree's
-  // internal pointer survives moves of the wrapper; starts as a copy of
-  // the caller's array and shrinks to the survivors on rebuild.
-  std::unique_ptr<std::vector<linalg::Vector>> indexed_points_;
-  // indexed_points_[i] is original point to_original_[i].
-  std::vector<std::size_t> to_original_;
-  std::unique_ptr<KdTree> tree_;
-  // By original index. Bytes, not vector<bool>: read once per leaf
-  // point in the query filter, where the bit extraction shows up.
-  std::vector<std::uint8_t> alive_;
-  // keys_[i] is the query filter's answer for indexed point i — the
-  // original index while alive, KdTree::kSkipPoint once tombstoned — so
-  // the hot filter is a single load. tree_pos_[original] locates an
-  // alive original in the current index so Erase can update keys_.
-  std::vector<std::size_t> keys_;
-  std::vector<std::size_t> tree_pos_;
-  std::size_t alive_count_ = 0;
-  std::size_t dead_in_tree_ = 0;  // tombstones among indexed_points_
+  // Holds exactly the alive points, so its size is the alive count.
+  KdTree tree_;
+  std::vector<std::uint8_t> alive_;  // by original index
 };
 
 }  // namespace condensa::index

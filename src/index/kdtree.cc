@@ -58,12 +58,12 @@ StatusOr<KdTree> KdTree::Build(const std::vector<linalg::Vector>& points) {
   KdTreeMetrics& metrics = KdTreeMetrics::Get();
   obs::ScopedTimer build_timer(metrics.build_seconds);
   KdTree tree;
-  tree.points_ = &points;
+  tree.size_ = points.size();
   tree.dim_ = dim;
   tree.order_.resize(points.size());
   std::iota(tree.order_.begin(), tree.order_.end(), 0);
   tree.nodes_.reserve(2 * points.size() / kLeafSize + 4);
-  tree.root_ = tree.BuildRecursive(0, points.size());
+  tree.root_ = tree.BuildRecursive(points, 0, points.size());
   // Flatten the points into blocked SoA storage in final order_ order so
   // leaf scans are one vectorized batch-kernel call per leaf.
   tree.coords_ = simd::RecordBlock(dim);
@@ -76,22 +76,19 @@ StatusOr<KdTree> KdTree::Build(const std::vector<linalg::Vector>& points) {
   return tree;
 }
 
-std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
+std::size_t KdTree::BuildRecursive(const std::vector<linalg::Vector>& points,
+                                   std::size_t begin, std::size_t end) {
   CONDENSA_DCHECK_LT(begin, end);
   const std::size_t node_id = nodes_.size();
   nodes_.emplace_back();
-
-  if (end - begin <= kLeafSize) {
-    nodes_[node_id].begin = begin;
-    nodes_[node_id].end = end;
-    return node_id;
-  }
+  nodes_[node_id].begin = begin;
+  nodes_[node_id].end = end;
+  if (end - begin <= kLeafSize) return node_id;
 
   // Split on the dimension with the widest value spread in this cell.
   // One pass over the points, tracking per-dimension min/max as we go:
   // each point's coordinates are contiguous, so this touches every
   // record once instead of chasing the same pointers once per dimension.
-  const std::vector<linalg::Vector>& points = *points_;
   std::vector<double>& lo = build_lo_;
   std::vector<double>& hi = build_hi_;
   lo.assign(dim_, std::numeric_limits<double>::infinity());
@@ -111,12 +108,8 @@ std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
       best_dim = d;
     }
   }
-  if (best_spread <= 0.0) {
-    // All points in the cell coincide: make it a leaf regardless of size.
-    nodes_[node_id].begin = begin;
-    nodes_[node_id].end = end;
-    return node_id;
-  }
+  // All points in the cell coincide: make it a leaf regardless of size.
+  if (best_spread <= 0.0) return node_id;
 
   // Near-median split, rounded down so the partition point stays a
   // multiple of the SoA lane width. Every node's begin is then
@@ -136,14 +129,104 @@ std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
   const double split_value = points[order_[mid]][best_dim];
 
   // Fill fields after recursion: BuildRecursive may reallocate nodes_.
-  std::size_t left = BuildRecursive(begin, mid);
-  std::size_t right = BuildRecursive(mid, end);
+  std::size_t left = BuildRecursive(points, begin, mid);
+  std::size_t right = BuildRecursive(points, mid, end);
   Node& node = nodes_[node_id];
   node.split_dim = best_dim;
   node.split_value = split_value;
   node.left = left;
   node.right = right;
   return node_id;
+}
+
+void KdTree::InitEraseBookkeeping() {
+  // Node ids are handed out in preorder, so children come after their
+  // parent: one reverse pass sums live counts bottom-up.
+  live_.resize(nodes_.size());
+  parent_.resize(nodes_.size());
+  leaf_of_.resize(order_.size());
+  parent_[root_] = root_;
+  for (std::size_t id = nodes_.size(); id-- > 0;) {
+    const Node& node = nodes_[id];
+    if (node.split_dim == Node::kLeaf) {
+      live_[id] = node.end - node.begin;
+      std::fill(leaf_of_.begin() + node.begin, leaf_of_.begin() + node.end,
+                id);
+    } else {
+      live_[id] = live_[node.left] + live_[node.right];
+      parent_[node.left] = id;
+      parent_[node.right] = id;
+    }
+  }
+  position_of_.resize(order_.size());
+  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+    position_of_[order_[pos]] = pos;
+  }
+}
+
+void KdTree::MoveRecord(std::size_t from, std::size_t to, std::size_t leaf) {
+  coords_.CopyRecord(from, to);
+  order_[to] = order_[from];
+  position_of_[order_[to]] = to;
+  leaf_of_[to] = leaf;
+}
+
+std::size_t KdTree::CompactSubtree(std::size_t node_id, std::size_t leaf,
+                                   std::size_t cursor) {
+  const Node& node = nodes_[node_id];
+  if (node.split_dim != Node::kLeaf) {
+    cursor = CompactSubtree(node.left, leaf, cursor);
+    return CompactSubtree(node.right, leaf, cursor);
+  }
+  // Leaves come left to right with ascending ranges, so the cursor never
+  // passes the record it copies.
+  for (std::size_t pos = node.begin; pos < node.end; ++pos, ++cursor) {
+    if (pos != cursor) {
+      MoveRecord(pos, cursor, leaf);
+    } else {
+      leaf_of_[cursor] = leaf;
+    }
+  }
+  return cursor;
+}
+
+bool KdTree::Erase(std::size_t index) {
+  if (live_.empty()) InitEraseBookkeeping();
+  CONDENSA_DCHECK_LT(index, position_of_.size());
+  const std::size_t pos = position_of_[index];
+  const std::size_t leaf = leaf_of_[pos];
+  CONDENSA_DCHECK(pos >= nodes_[leaf].begin && pos < nodes_[leaf].end &&
+                  order_[pos] == index);
+  const std::size_t last = --nodes_[leaf].end;
+  if (pos != last) MoveRecord(last, pos, leaf);
+  --size_;
+
+  constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
+  std::size_t collapse = kNoNode;
+  for (std::size_t id = leaf;; id = parent_[id]) {
+    --live_[id];
+    if (nodes_[id].split_dim != Node::kLeaf && live_[id] <= kLeafSize) {
+      collapse = id;
+    }
+    if (id == root_) break;
+  }
+  std::size_t top = leaf;
+  if (collapse != kNoNode) {
+    Node& node = nodes_[collapse];
+    node.end = CompactSubtree(collapse, collapse, node.begin);
+    node.split_dim = Node::kLeaf;
+    top = collapse;
+  }
+  // Only the counts on this path moved, so checking it keeps the whole
+  // tree's invariant: every internal node holds > kLeafSize live points.
+  for (std::size_t id = top;; id = parent_[id]) {
+    CONDENSA_DCHECK(nodes_[id].split_dim == Node::kLeaf ||
+                    live_[id] > kLeafSize);
+    CONDENSA_DCHECK(nodes_[id].split_dim != Node::kLeaf ||
+                    live_[id] == nodes_[id].end - nodes_[id].begin);
+    if (id == root_) break;
+  }
+  return collapse != kNoNode;
 }
 
 void KdTree::SearchKNearest(std::size_t node_id, const linalg::Vector& query,

@@ -2,17 +2,18 @@
 //
 // The condensation pipeline is dominated by nearest-neighbour work, and
 // this tree backs all of it: the static condenser's neighbour gathering
-// goes through index::DeletionAwareKdTree (a tombstone wrapper over this
-// tree that rebuilds as tombstones accumulate and falls back to the
-// brute-force scan below a size threshold — see deletion_aware.h), the
-// leftover-absorption and dynamic-insert nearest-centroid lookups go
-// through core::CentroidIndex, and the k-NN classifier queries it
-// directly. A k-d tree brings the per-query cost from O(n) to roughly
-// O(log n) in the low dimensions typical of the paper's workloads, and
-// degrades gracefully (never worse than a full scan) in high dimensions.
+// goes through index::DeletionAwareKdTree (an alive bitmap over this
+// tree, which erases the gathered records in place — see
+// deletion_aware.h and Erase below), the leftover-absorption and
+// dynamic-insert nearest-centroid lookups go through core::CentroidIndex,
+// and the k-NN classifier queries it directly. A k-d tree brings the
+// per-query cost from O(n) to roughly O(log n) in the low dimensions
+// typical of the paper's workloads, and degrades gracefully (never worse
+// than a full scan) in high dimensions.
 //
-// The tree stores point indices into a caller-owned point array; points
-// are not copied. Build is median-split on the widest-spread dimension.
+// Build is median-split on the widest-spread dimension and copies the
+// points into the tree's own blocked storage, so the caller's array is
+// only read during Build.
 
 #ifndef CONDENSA_INDEX_KDTREE_H_
 #define CONDENSA_INDEX_KDTREE_H_
@@ -41,11 +42,12 @@ std::vector<double>& KdLeafScratch();
 class KdTree {
  public:
   // Builds an index over `points` (all the same dimension, non-empty).
-  // The returned tree references `points`; the caller must keep the
-  // vector alive and unmodified for the tree's lifetime.
+  // The tree keeps its own copy of the coordinates; `points` is not
+  // referenced after Build returns.
   static StatusOr<KdTree> Build(const std::vector<linalg::Vector>& points);
 
-  std::size_t size() const { return points_->size(); }
+  // Points currently indexed: the build size less the erased points.
+  std::size_t size() const { return size_; }
   std::size_t dim() const { return dim_; }
 
   // Index of the point nearest to `query` (Euclidean).
@@ -81,6 +83,22 @@ class KdTree {
   std::vector<std::pair<double, std::size_t>> KNearestKeyed(
       const linalg::Vector& query, std::size_t k, KeyOf&& key_of) const;
 
+  // Removes point `index` (built from points[index], not yet erased)
+  // from the tree in place; later queries never return it. Two steps:
+  //   - leaf compaction: the leaf's last record moves into the erased
+  //     slot and the leaf's range shrinks by one;
+  //   - subtree collapse: every node counts its live points, and the
+  //     erase decrements the counts from the leaf up to the root. The
+  //     highest internal node on that path left with <= kLeafSize live
+  //     points becomes one leaf, its subtree's live records copied left
+  //     to right into the front of its range.
+  // So every internal node always holds more than kLeafSize live points
+  // and none is ever empty: the searches run unchanged over the thinned
+  // tree. Returns true when the erase collapsed a subtree. The first
+  // call allocates the bookkeeping (O(n) words); trees that never erase
+  // carry none of it.
+  bool Erase(std::size_t index);
+
  private:
   struct Node {
     // Leaf when split_dim is kLeaf; then [begin, end) indexes order_.
@@ -89,7 +107,10 @@ class KdTree {
     double split_value = 0.0;
     std::size_t left = 0;   // child node ids (internal nodes)
     std::size_t right = 0;
-    std::size_t begin = 0;  // leaf payload range in order_
+    // Position range in order_: a leaf's live records, or the range an
+    // internal node's subtree was built over (a collapse compacts the
+    // subtree's survivors into its front).
+    std::size_t begin = 0;
     std::size_t end = 0;
   };
 
@@ -104,7 +125,16 @@ class KdTree {
 
   KdTree() = default;
 
-  std::size_t BuildRecursive(std::size_t begin, std::size_t end);
+  std::size_t BuildRecursive(const std::vector<linalg::Vector>& points,
+                             std::size_t begin, std::size_t end);
+  // Erase helpers: allocates the bookkeeping below from the built tree;
+  // moves the record at position `from` to `to` inside leaf `leaf`;
+  // copies the live records of `node`'s subtree left to right to
+  // positions from `cursor` on, returning the next free position.
+  void InitEraseBookkeeping();
+  void MoveRecord(std::size_t from, std::size_t to, std::size_t leaf);
+  std::size_t CompactSubtree(std::size_t node, std::size_t leaf,
+                             std::size_t cursor);
   // All searches prune with an incremental region bound (Arya & Mount):
   // `bound_sq` is a lower bound on the squared distance from the query
   // to the node's region, maintained as the sum over dimensions of the
@@ -140,7 +170,7 @@ class KdTree {
   // scan), so this is purely a speed knob.
   static constexpr std::size_t kLeafSize = 32;
 
-  const std::vector<linalg::Vector>* points_ = nullptr;
+  std::size_t size_ = 0;
   std::size_t dim_ = 0;
   std::vector<std::size_t> order_;  // permutation of point indices
   // Blocked SoA copy of the points in order_ order, built once at build
@@ -151,6 +181,13 @@ class KdTree {
   simd::RecordBlock coords_{0};
   std::vector<Node> nodes_;
   std::size_t root_ = 0;
+  // Erase bookkeeping, empty until the first Erase: live points under
+  // each node, each node's parent (the root is its own), the leaf each
+  // position belongs to, and each point index's position in order_.
+  std::vector<std::size_t> live_;
+  std::vector<std::size_t> parent_;
+  std::vector<std::size_t> leaf_of_;
+  std::vector<std::size_t> position_of_;
   // Build-time per-dimension min/max scratch (BuildRecursive), reused
   // across nodes so the spread scan never allocates per node.
   std::vector<double> build_lo_;

@@ -41,11 +41,6 @@ class KnnClassifier : public Classifier {
  public:
   explicit KnnClassifier(KnnOptions options = {}) : options_(options) {}
 
-  // Not copyable or movable: the optional k-d tree references the stored
-  // training set.
-  KnnClassifier(const KnnClassifier&) = delete;
-  KnnClassifier& operator=(const KnnClassifier&) = delete;
-
   Status Fit(const data::Dataset& train) override;
   int Predict(const linalg::Vector& record) const override;
 
@@ -66,11 +61,6 @@ class KnnClassifier : public Classifier {
 class KnnRegressor : public Regressor {
  public:
   explicit KnnRegressor(KnnOptions options = {}) : options_(options) {}
-
-  // Not copyable or movable: the optional k-d tree references the stored
-  // training set.
-  KnnRegressor(const KnnRegressor&) = delete;
-  KnnRegressor& operator=(const KnnRegressor&) = delete;
 
   Status Fit(const data::Dataset& train) override;
   double Predict(const linalg::Vector& record) const override;

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "linalg/vector.h"
+#include "obs/metrics.h"
 
 namespace condensa::index {
 namespace {
@@ -61,7 +63,7 @@ TEST(DeletionAwareKdTreeTest, MatchesBruteForceWithoutDeletions) {
 }
 
 TEST(DeletionAwareKdTreeTest, MatchesBruteForceUnderInterleavedDeletions) {
-  // Erase points between queries, past the 50% rebuild threshold, and
+  // Erase points between queries, through many subtree collapses, and
   // check every answer against the alive-only scan.
   Rng rng(2);
   std::vector<Vector> points = RandomCloud(300, 4, rng);
@@ -139,7 +141,7 @@ TEST(DeletionAwareKdTreeTest, KClampsToAliveCount) {
 }
 
 TEST(DeletionAwareKdTreeTest, SurvivesErasingAllButOne) {
-  // Drives several rebuilds in a row and ends on a single-point tree.
+  // Drives collapses up to the root and ends on a single-point tree.
   Rng rng(5);
   std::vector<Vector> points = RandomCloud(128, 3, rng);
   auto tree = DeletionAwareKdTree::Build(points);
@@ -167,6 +169,96 @@ TEST(DeletionAwareKdTreeTest, WrapperSurvivesMove) {
   Vector query{0.1, -0.2};
   EXPECT_EQ(tree.KNearestAlive(query, 6),
             BruteKNearest(points, alive, query, 6));
+}
+
+// Points on a grid of three levels per axis: distances tie all over,
+// and in low dimensions many points coincide (oversized leaves).
+std::vector<Vector> GridCloud(std::size_t n, std::size_t dim, Rng& rng) {
+  std::vector<Vector> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Vector p(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      p[j] = static_cast<double>(rng.UniformIndex(3)) - 1.0;
+    }
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+TEST(DeletionAwareKdTreeTest, CondenserShapedDrainMatchesBruteForce) {
+  // The static condenser's loop: erase a random alive seed, gather its
+  // k-1 nearest alive points, erase them, until nothing is left. Every
+  // gather must match the (distance, index) scan while leaves compact
+  // and thinned subtrees fold into leaves.
+  std::uint64_t seed = 100;
+  for (std::size_t n : {40u, 500u, 3000u}) {
+    for (std::size_t dim : {1u, 2u, 3u, 10u}) {
+      for (bool grid : {false, true}) {
+        Rng rng(++seed);
+        const std::vector<Vector> points =
+            grid ? GridCloud(n, dim, rng) : RandomCloud(n, dim, rng);
+        auto tree = DeletionAwareKdTree::Build(points);
+        ASSERT_TRUE(tree.ok());
+        std::vector<bool> alive(n, true);
+        std::vector<std::size_t> survivors(n);
+        for (std::size_t i = 0; i < n; ++i) survivors[i] = i;
+        auto erase = [&](std::size_t i) {
+          tree->Erase(i);
+          alive[i] = false;
+          survivors.erase(
+              std::find(survivors.begin(), survivors.end(), i));
+        };
+        std::size_t round = 0;
+        while (!survivors.empty()) {
+          const std::string where =
+              "n=" + std::to_string(n) + " d=" + std::to_string(dim) +
+              (grid ? " grid" : " gaussian") + " round " +
+              std::to_string(round++);
+          const std::size_t k = 1 + rng.UniformIndex(12);
+          const std::size_t seed_index =
+              survivors[rng.UniformIndex(survivors.size())];
+          erase(seed_index);
+          ASSERT_EQ(tree->alive_count(), survivors.size()) << where;
+          const auto hits = tree->KNearestAlive(points[seed_index], k - 1);
+          ASSERT_EQ(hits,
+                    BruteKNearest(points, alive, points[seed_index], k - 1))
+              << where << " k=" << k;
+          for (const auto& [dist, idx] : hits) erase(idx);
+          ASSERT_EQ(tree->alive_count(), survivors.size()) << where;
+        }
+        EXPECT_TRUE(tree->KNearestAlive(points[0], 1).empty());
+      }
+    }
+  }
+}
+
+TEST(DeletionAwareKdTreeTest, ThinnedTreeFoldsAtTheHighestNode) {
+  // 66 points on a line build a root over a 32-point leaf (indices
+  // 0..31) and a 34-point subtree. Erasing in index order empties the
+  // leaf first; then the root and its right child fall to 32 live
+  // points on the same erase, and the root, the higher of the two,
+  // folds into one leaf. The whole drain collapses exactly once.
+  obs::DefaultRegistry().Reset();
+  std::vector<Vector> points;
+  for (std::size_t i = 0; i < 66; ++i) {
+    points.push_back(Vector{static_cast<double>(i)});
+  }
+  auto tree = DeletionAwareKdTree::Build(points);
+  ASSERT_TRUE(tree.ok());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    tree->Erase(i);
+    if (i + 1 < points.size()) {
+      const auto hits = tree->KNearestAlive(Vector{0.0}, 1);
+      ASSERT_EQ(hits.size(), 1u);
+      EXPECT_EQ(hits[0].second, i + 1);
+    }
+  }
+  EXPECT_EQ(tree->alive_count(), 0u);
+  const std::string text = obs::DefaultRegistry().DumpPrometheusText();
+  EXPECT_NE(text.find("condensa_static_index_collapses_total 1\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

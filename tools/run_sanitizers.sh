@@ -4,7 +4,9 @@
 # UBSan is made halt-on-error and ASan aborts on the first bad access.
 # The build also defines _GLIBCXX_ASSERTIONS, so libstdc++ checks bounds
 # and preconditions (front() of an empty vector, out-of-range operator[])
-# that ASan alone can miss.
+# that ASan alone can miss. RelWithDebInfo's default flags define NDEBUG;
+# the build overrides them so CONDENSA_DCHECKs fire here too (a -UNDEBUG
+# in CMAKE_CXX_FLAGS would lose to the per-configuration flags).
 #
 # Usage:
 #   tools/run_sanitizers.sh                   # address;undefined
@@ -19,6 +21,7 @@ BUILD_DIR="${BUILD_DIR:-build-sanitize}"
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DCONDENSA_SANITIZE="${SANITIZERS}" \
   -DCMAKE_CXX_FLAGS="${CXXFLAGS:-} -D_GLIBCXX_ASSERTIONS" \
   -DCONDENSA_BUILD_BENCHMARKS=OFF \
