@@ -61,6 +61,10 @@ StatusOr<std::string> WriteBenchReport(const BenchReport& report) {
   out += "  \"elapsed_seconds\": " + FormatDouble(report.elapsed_seconds) +
          ",\n";
 
+  // GCC 12 reports a false -Wrestrict inside libstdc++ for
+  // `"literal" + std::string&&` (GCC bug 105329); no bytes overlap.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
   out += "  \"scalars\": {";
   for (std::size_t i = 0; i < report.scalars.size(); ++i) {
     if (i > 0) out += ", ";
@@ -74,6 +78,7 @@ StatusOr<std::string> WriteBenchReport(const BenchReport& report) {
     if (i > 0) out += ", ";
     out += "\"" + JsonEscape(report.row_schema[i]) + "\"";
   }
+#pragma GCC diagnostic pop
   out += "], \"data\": [";
   for (std::size_t r = 0; r < report.rows.size(); ++r) {
     if (r > 0) out += ", ";

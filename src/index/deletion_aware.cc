@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "obs/metrics.h"
 
 namespace condensa::index {
@@ -27,15 +26,11 @@ struct DeletionAwareMetrics {
 StatusOr<DeletionAwareKdTree> DeletionAwareKdTree::Build(
     const std::vector<linalg::Vector>& points) {
   CONDENSA_ASSIGN_OR_RETURN(KdTree tree, KdTree::Build(points));
-  DeletionAwareKdTree wrapper(std::move(tree));
-  wrapper.alive_.assign(points.size(), 1);
   DeletionAwareMetrics::Get().builds.Increment();
-  return wrapper;
+  return DeletionAwareKdTree(std::move(tree));
 }
 
 void DeletionAwareKdTree::Erase(std::size_t original_index) {
-  CONDENSA_DCHECK(alive_[original_index] != 0);
-  alive_[original_index] = 0;
   if (tree_.Erase(original_index)) {
     DeletionAwareMetrics::Get().collapses.Increment();
   }

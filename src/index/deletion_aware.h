@@ -1,11 +1,12 @@
 // Deletion-aware k-NN index for the static condenser's gather loop.
 //
 // Static condensation (paper Fig. 1) repeatedly removes a seed record and
-// its k-1 nearest survivors from the database. This wrapper keeps an
-// alive bitmap beside a KdTree that erases in place (KdTree::Erase):
-// each erased record leaves its leaf, and a subtree thinned to a leaf's
-// worth of survivors folds into one leaf, so the tree is built once per
-// condensation run and never rebuilt.
+// its k-1 nearest survivors from the database. This wrapper drives a
+// KdTree that erases in place (KdTree::Erase): each erased record leaves
+// its leaf, and a subtree thinned to a leaf's worth of survivors folds
+// into one leaf, so the tree is built once per condensation run and never
+// rebuilt. The tree holds exactly the alive points; erasing an index
+// twice trips KdTree::Erase's DCHECK.
 //
 // Result parity with the brute-force scan is exact, not approximate: the
 // tree holds only alive points and ranks candidates by (squared
@@ -18,7 +19,6 @@
 #define CONDENSA_INDEX_DELETION_AWARE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -35,9 +35,6 @@ class DeletionAwareKdTree {
       const std::vector<linalg::Vector>& points);
 
   std::size_t alive_count() const { return tree_.size(); }
-  bool alive(std::size_t original_index) const {
-    return alive_[original_index] != 0;
-  }
 
   // Removes one point (must currently be alive) from the tree in place.
   void Erase(std::size_t original_index);
@@ -54,7 +51,6 @@ class DeletionAwareKdTree {
 
   // Holds exactly the alive points, so its size is the alive count.
   KdTree tree_;
-  std::vector<std::uint8_t> alive_;  // by original index
 };
 
 }  // namespace condensa::index

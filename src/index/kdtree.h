@@ -2,9 +2,9 @@
 //
 // The condensation pipeline is dominated by nearest-neighbour work, and
 // this tree backs all of it: the static condenser's neighbour gathering
-// goes through index::DeletionAwareKdTree (an alive bitmap over this
-// tree, which erases the gathered records in place — see
-// deletion_aware.h and Erase below), the leftover-absorption and
+// goes through index::DeletionAwareKdTree (a wrapper over this tree,
+// which erases the gathered records in place — see deletion_aware.h and
+// Erase below), the leftover-absorption and
 // dynamic-insert nearest-centroid lookups go through core::CentroidIndex,
 // and the k-NN classifier queries it directly. A k-d tree brings the
 // per-query cost from O(n) to roughly O(log n) in the low dimensions

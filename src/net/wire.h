@@ -145,7 +145,7 @@ struct HeartbeatAckMessage {
 // Worker -> coordinator. The shard's final ledger plus its condensed
 // group set in the canonical text serialization (core/serialization.h).
 struct FinishResultMessage {
-  runtime::StreamPipelineStats stats;
+  runtime::StreamPipelineStats stats = {};
   std::string groups_text;
 };
 

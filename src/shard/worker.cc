@@ -52,9 +52,14 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(
         "through backend::Registry");
   }
   std::unique_ptr<Worker> worker(new Worker(shard_id, dim, options));
+  // GCC 12 reports a false -Wrestrict inside libstdc++ for
+  // `"literal" + std::string&&` (GCC bug 105329); no bytes overlap.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
   worker->worker_id_ = options.worker_id.empty()
                            ? "w" + std::to_string(shard_id)
                            : options.worker_id;
+#pragma GCC diagnostic pop
   if (options.mode == WorkerMode::kDurableStream) {
     if (options.checkpoint_root.empty()) {
       return InvalidArgumentError(

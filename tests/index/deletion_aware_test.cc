@@ -100,7 +100,7 @@ TEST(DeletionAwareKdTreeTest, ErasedPointNeverReturned) {
   ASSERT_EQ(before.size(), 1u);
   EXPECT_EQ(before[0].second, 17u);
   tree->Erase(17);
-  EXPECT_FALSE(tree->alive(17));
+  EXPECT_EQ(tree->alive_count(), 49u);
   for (const auto& [dist, idx] : tree->KNearestAlive(query, 49)) {
     EXPECT_NE(idx, 17u);
   }

@@ -33,6 +33,14 @@ for cmd in condense serve-stream worker fabric query query-server; do
   expect_code 0 "$cmd --help"          "$CLI" "$cmd" --help
 done
 
+# Every command in the table answers --help with exit 0 and rejects an
+# unknown flag with exit 2.
+for cmd in condense generate ingest serve-stream shard worker fabric \
+    recover query query-server inspect evaluate stats; do
+  expect_code 0 "$cmd --help"          "$CLI" "$cmd" --help
+  expect_code 2 "$cmd --bogus=1"       "$CLI" "$cmd" --bogus=1
+done
+
 # serve-stream shard-count validation: rejected before any work.
 expect_code 2 "serve-stream --shards=0"        "$CLI" serve-stream --shards=0
 expect_code 2 "serve-stream --shards=-3"       "$CLI" serve-stream --shards=-3
@@ -111,6 +119,35 @@ expect_code 2 "query --retries=0" \
   "$CLI" query --groups=/tmp/x --retries=0
 expect_code 2 "query --deadline-ms=-1" \
   "$CLI" query --groups=/tmp/x --deadline-ms=-1
+# Flag kinds reject what they cannot represent, before any work starts:
+# a size flag takes no sign (-1 used to wrap to 2^64-1), a double flag
+# takes no NaN or infinity (NaN slips past every range comparison), a
+# seed is an unsigned 64-bit integer, and a bool flag takes only the bare
+# form, =true or =false (anything else used to read as false).
+scratch="$(mktemp -d)"
+expect_code 2 "serve-stream --snapshot-every=-1" \
+  "$CLI" serve-stream --checkpoint-dir="$scratch/ss" --records=10 \
+  --no-sync --snapshot-every=-1
+expect_code 2 "serve-stream --chaos=nan" \
+  "$CLI" serve-stream --checkpoint-dir="$scratch/ss" --records=10 \
+  --no-sync --chaos=nan
+expect_code 2 "serve-stream --chaos=inf" \
+  "$CLI" serve-stream --checkpoint-dir="$scratch/ss" --records=10 \
+  --no-sync --chaos=inf
+expect_code 2 "query-server --deadline-ms=nan" \
+  "$CLI" query-server --groups=/tmp/x --deadline-ms=nan
+expect_code 2 "query --deadline-ms=inf" \
+  "$CLI" query --groups=/tmp/x --deadline-ms=inf
+expect_code 2 "generate --seed=-1" \
+  "$CLI" generate --groups=/nonexistent-condensa-groups --output=/dev/null \
+  --seed=-1
+expect_code 2 "ingest --no-sync=1" \
+  "$CLI" ingest --input=/nonexistent.csv --checkpoint-dir="$scratch/in" \
+  --no-sync=1
+expect_code 2 "condense --header=yes" \
+  "$CLI" condense --input=/nonexistent.csv --output=/dev/null --header=yes
+rm -rf "$scratch"
+
 # A missing checkpoint directory is a runtime failure (exit 1), reported
 # before the server would start listening or any query would run.
 expect_code 1 "query missing checkpoint dir" \
@@ -133,6 +170,10 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
   expect_code 0 "condense --backend=mdav" \
     "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     --backend=mdav --save-groups="$workdir/groups-mdav.bin" --output=/dev/null
+  # Seeds span the whole u64 range, not only int.
+  expect_code 0 "generate --seed=3000000000" \
+    "$CLI" generate --groups="$workdir/groups.bin" \
+    --output="$workdir/big-seed.csv" --seed=3000000000
   if grep -q "backend mdav 1" "$workdir/groups-mdav.bin" 2>/dev/null; then
     echo "ok: mdav snapshot carries its backend stamp"
   else
