@@ -29,7 +29,6 @@
 #include "linalg/vector.h"
 #include "obs/timing.h"
 #include "shard/fabric.h"
-#include "shard/stream_service.h"
 #include "shard/worker_process.h"
 
 namespace {
@@ -38,8 +37,6 @@ using condensa::Rng;
 using condensa::linalg::Vector;
 using condensa::shard::FabricConfig;
 using condensa::shard::FabricService;
-using condensa::shard::ShardedStreamConfig;
-using condensa::shard::ShardedStreamService;
 using condensa::shard::WorkerProcess;
 using condensa::shard::WorkerServerConfig;
 
@@ -74,7 +71,7 @@ CellTimes RunCell(const std::vector<Vector>& stream, std::size_t workers,
   {
     const std::string inproc_root = root + "/inproc";
     std::filesystem::remove_all(inproc_root, cleanup_error);
-    ShardedStreamConfig config;
+    FabricConfig config;
     config.num_shards = workers;
     config.dim = dim;
     config.group_size = k;
@@ -83,7 +80,7 @@ CellTimes RunCell(const std::vector<Vector>& stream, std::size_t workers,
     config.snapshot_interval = 1u << 30;
     config.seed = 4242;
     condensa::obs::Timer timer;
-    auto service = ShardedStreamService::Start(config);
+    auto service = FabricService::Start(config);
     CONDENSA_CHECK(service.ok());
     for (const Vector& record : stream) {
       CONDENSA_CHECK((*service)->Submit(record).ok());

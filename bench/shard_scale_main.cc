@@ -2,8 +2,9 @@
 // shards, with the quality side of the ledger measured on every cell.
 //
 // Dynamic condensation's per-record cost grows with the number of live
-// groups G, so scattering one stream across N shards cuts each shard's
-// G by ~N — the speedup is algorithmic and shows up even on one core
+// groups G, so scattering one stream across N shards also cuts each
+// shard's G by ~N: the speedups mix parallelism with that per-record
+// cost, which is a defect to remove, not a sharding win
 // (docs/scaling.md). The gather step is an exact moment merge, so the
 // bench also checks that covariance compatibility (mu) and 1-NN
 // accuracy on the released data stay within 2% of the 1-shard baseline,
@@ -38,7 +39,7 @@
 #include "metrics/compatibility.h"
 #include "mining/knn.h"
 #include "obs/timing.h"
-#include "shard/stream_service.h"
+#include "shard/fabric.h"
 
 namespace {
 
@@ -47,9 +48,8 @@ using condensa::core::CondensedGroupSet;
 using condensa::data::Dataset;
 using condensa::data::TaskType;
 using condensa::linalg::Vector;
-using condensa::shard::ShardedStreamConfig;
-using condensa::shard::ShardedStreamResult;
-using condensa::shard::ShardedStreamService;
+using condensa::shard::FabricConfig;
+using condensa::shard::FabricService;
 
 // The paper's two-class setting: well-separated Gaussian blobs, one
 // stream per class so the released records keep their labels.
@@ -100,7 +100,7 @@ CellResult RunCell(const Workload& w, std::size_t shards, std::size_t dim,
     std::error_code cleanup_error;
     std::filesystem::remove_all(class_root, cleanup_error);
 
-    ShardedStreamConfig config;
+    FabricConfig config;
     config.num_shards = shards;
     config.dim = dim;
     config.group_size = k;
@@ -114,7 +114,7 @@ CellResult RunCell(const Workload& w, std::size_t shards, std::size_t dim,
     config.seed = 42 + static_cast<std::uint64_t>(label);
 
     condensa::obs::Timer timer;
-    auto service = ShardedStreamService::Start(config);
+    auto service = FabricService::Start(config);
     CONDENSA_CHECK(service.ok());
     for (const Vector& record : w.train[label]) {
       CONDENSA_CHECK((*service)->Submit(record).ok());

@@ -20,7 +20,10 @@ std::string_view StripWhitespace(std::string_view text);
 // Parses a double; returns false on malformed or trailing garbage.
 bool ParseDouble(std::string_view text, double* value);
 
-// Parses a non-negative integer; returns false on malformed input.
+// Parses a signed integer in [INT_MIN, INT_MAX] (surrounding whitespace
+// allowed); returns false on malformed input, trailing garbage or a value
+// out of int range. Negative values are accepted: --label-column=-1
+// relies on it, so callers that need a count must check the sign.
 bool ParseInt(std::string_view text, int* value);
 
 // Parses a non-negative integer in the full std::size_t range (record,

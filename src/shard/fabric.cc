@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <sstream>
 
 #include "backend/registry.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "core/serialization.h"
 #include "net/frame.h"
 #include "net/wire.h"
@@ -64,8 +66,14 @@ obs::Histogram& RpcSeconds(const char* op) {
 }  // namespace
 
 Status FabricConfig::Validate() const {
-  if (workers.empty()) {
-    return InvalidArgumentError("fabric needs at least one worker endpoint");
+  if (!workers.empty() && num_shards != 0 && num_shards != workers.size()) {
+    return InvalidArgumentError(
+        "num_shards " + std::to_string(num_shards) + " disagrees with the " +
+        std::to_string(workers.size()) + " worker endpoints");
+  }
+  if (shard_count() == 0) {
+    return InvalidArgumentError(
+        "give worker endpoints or num_shards >= 1");
   }
   for (const FabricEndpoint& endpoint : workers) {
     if (endpoint.host.empty() || endpoint.port == 0) {
@@ -76,16 +84,43 @@ Status FabricConfig::Validate() const {
   if (dim == 0) {
     return InvalidArgumentError("dim must be >= 1");
   }
-  if (group_size < 2) {
-    return InvalidArgumentError(
-        "the fabric runs the streaming runtime, which requires "
-        "group_size >= 2");
-  }
-  if (wire_batch == 0) {
-    return InvalidArgumentError("wire_batch must be >= 1");
+  if (mode == WorkerMode::kStaticBatch) {
+    if (!workers.empty()) {
+      return InvalidArgumentError(
+          "remote workers stream durably; kStaticBatch is in-process only");
+    }
+    if (group_size == 0) {
+      return InvalidArgumentError("group_size must be >= 1");
+    }
+  } else {
+    if (group_size < 2) {
+      return InvalidArgumentError(
+          "kDurableStream runs the streaming runtime, which requires "
+          "group_size >= 2");
+    }
+    if (workers.empty() && checkpoint_root.empty()) {
+      return InvalidArgumentError(
+          "in-process kDurableStream requires a checkpoint_root");
+    }
   }
   // NotFound here lists the registered ids, which the CLI surfaces.
   CONDENSA_RETURN_IF_ERROR(backend::Registry::Global().Get(backend).status());
+  if (connect_timeout_ms <= 0 || io_timeout_ms <= 0 ||
+      ack_timeout_ms <= 0 || finish_timeout_ms <= 0 ||
+      heartbeat_interval_ms <= 0 || heartbeat_timeout_ms <= 0) {
+    return InvalidArgumentError("fabric timeouts must be positive");
+  }
+  if (heartbeat_timeout_ms < heartbeat_interval_ms) {
+    return InvalidArgumentError(
+        "heartbeat_timeout_ms must be >= heartbeat_interval_ms");
+  }
+  if (workers.empty()) {
+    return OkStatus();
+  }
+  // The wire caps bind only records that cross the wire.
+  if (wire_batch == 0) {
+    return InvalidArgumentError("wire_batch must be >= 1");
+  }
   if (dim > net::kMaxWireDim) {
     return InvalidArgumentError(
         "dim " + std::to_string(dim) + " exceeds the wire cap of " +
@@ -113,15 +148,6 @@ Status FabricConfig::Validate() const {
         std::to_string(net::kMaxFramePayload) +
         " bytes; lower wire_batch");
   }
-  if (connect_timeout_ms <= 0 || io_timeout_ms <= 0 ||
-      ack_timeout_ms <= 0 || finish_timeout_ms <= 0 ||
-      heartbeat_interval_ms <= 0 || heartbeat_timeout_ms <= 0) {
-    return InvalidArgumentError("fabric timeouts must be positive");
-  }
-  if (heartbeat_timeout_ms < heartbeat_interval_ms) {
-    return InvalidArgumentError(
-        "heartbeat_timeout_ms must be >= heartbeat_interval_ms");
-  }
   return OkStatus();
 }
 
@@ -136,31 +162,27 @@ std::string FabricReport::ToString() const {
 }
 
 bool FabricResult::Balanced() const {
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    if (!stats.Balanced()) return false;
+  for (const ShardReport& shard : shards) {
+    if (!shard.ledger.Balanced()) return false;
   }
   return true;
 }
 
 std::size_t FabricResult::TotalAccepted() const {
   std::size_t total = 0;
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    total += stats.accepted;
-  }
+  for (const ShardReport& shard : shards) total += shard.ledger.accepted;
   return total;
 }
 
 std::size_t FabricResult::TotalApplied() const {
   std::size_t total = 0;
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    total += stats.applied;
-  }
+  for (const ShardReport& shard : shards) total += shard.ledger.applied;
   return total;
 }
 
 FabricService::FabricService(FabricConfig config)
     : config_(std::move(config)),
-      router_({.num_shards = config_.workers.size(),
+      router_({.num_shards = config_.shard_count(),
                .policy = config_.policy}),
       backoff_rng_(config_.seed ^ 0x9E3779B97F4A7C15ull),
       hb_rng_(config_.seed ^ 0xC2B2AE3D27D4EB4Full) {}
@@ -171,10 +193,12 @@ StatusOr<std::unique_ptr<FabricService>> FabricService::Start(
   std::unique_ptr<FabricService> service(
       new FabricService(std::move(config)));
   const FabricConfig& cfg = service->config_;
-  const std::size_t shards = cfg.workers.size();
+  const std::size_t shards = cfg.shard_count();
+  CONDENSA_ASSIGN_OR_RETURN(service->backend_,
+                            backend::Registry::Global().Get(cfg.backend));
 
-  // Identical seed derivation to ShardedStreamService::Start — the first
-  // half of the bit-identity contract (the second is gather order).
+  // One seed derivation for both transports — the first half of the
+  // bit-identity contract (the second is gather order).
   Rng root(cfg.seed);
   service->streams_ = Router::SplitStreams(root, shards);
   service->shard_seeds_.reserve(shards);
@@ -183,6 +207,19 @@ StatusOr<std::unique_ptr<FabricService>> FabricService::Start(
   }
 
   service->peers_.reserve(shards);
+  if (cfg.workers.empty()) {
+    // No peer is remote, so there is no heartbeat thread either.
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      service->peers_.push_back(std::make_unique<Peer>());
+      Peer& peer = *service->peers_.back();
+      std::lock_guard<std::mutex> lock(peer.mu);
+      CONDENSA_ASSIGN_OR_RETURN(
+          peer.local, Worker::Start(shard, cfg.dim,
+                                    service->LocalWorkerOptions(shard, "")));
+      peer.state = PeerState::kLocal;
+    }
+    return service;
+  }
   std::size_t reachable = 0;
   for (std::size_t shard = 0; shard < shards; ++shard) {
     service->peers_.push_back(std::make_unique<Peer>());
@@ -202,10 +239,10 @@ StatusOr<std::unique_ptr<FabricService>> FabricService::Start(
       PeerUpGauge(shard).Set(0.0);
     }
   }
-  if (reachable == 0 && cfg.local_fallback_root.empty()) {
+  if (reachable == 0 && cfg.checkpoint_root.empty()) {
     return UnavailableError(
-        "no fabric worker endpoint is reachable and no "
-        "local_fallback_root is configured");
+        "no fabric worker endpoint is reachable and no checkpoint_root "
+        "is configured for local takeover");
   }
   service->heartbeat_ = std::thread(&FabricService::HeartbeatLoop,
                                     service.get());
@@ -422,34 +459,35 @@ std::vector<std::size_t> FabricService::LiveMembers() {
   return members;
 }
 
-Status FabricService::LocalTakeoverLocked(std::size_t shard, Peer& peer) {
-  if (config_.local_fallback_root.empty()) {
-    return UnavailableError(
-        "shard " + std::to_string(shard) +
-        " is unreachable and no local_fallback_root is configured");
-  }
+WorkerOptions FabricService::LocalWorkerOptions(
+    std::size_t shard, const std::string& worker_id) const {
   WorkerOptions options;
-  options.mode = WorkerMode::kDurableStream;
+  options.mode = config_.mode;
   options.group_size = config_.group_size;
   options.split_rule = config_.split_rule;
-  // Validate() pinned the id to a registered backend, so the lookup
-  // cannot fail here.
-  if (StatusOr<const backend::AnonymizationBackend*> resolved =
-          backend::Registry::Global().Get(config_.backend);
-      resolved.ok()) {
-    options.backend = (*resolved)->info().id;
-    options.backend_version = (*resolved)->info().version;
-    options.construction = (*resolved)->ConstructionHook();
-  }
-  options.checkpoint_root = config_.local_fallback_root;
+  options.checkpoint_root = config_.checkpoint_root;
   options.snapshot_interval = config_.snapshot_interval;
   options.sync_every_append = config_.sync_every_append;
   options.queue_capacity = config_.queue_capacity;
   options.batch_size = config_.batch_size;
   options.seed = shard_seeds_[shard];
-  options.worker_id = peer.worker_id;
-  CONDENSA_ASSIGN_OR_RETURN(peer.local,
-                            Worker::Start(shard, config_.dim, options));
+  options.worker_id = worker_id;
+  options.backend = backend_->info().id;
+  options.backend_version = backend_->info().version;
+  options.construction = backend_->ConstructionHook();
+  return options;
+}
+
+Status FabricService::LocalTakeoverLocked(std::size_t shard, Peer& peer) {
+  if (config_.checkpoint_root.empty()) {
+    return UnavailableError(
+        "shard " + std::to_string(shard) +
+        " is unreachable and no checkpoint_root is configured for local "
+        "takeover");
+  }
+  CONDENSA_ASSIGN_OR_RETURN(
+      peer.local, Worker::Start(shard, config_.dim,
+                                LocalWorkerOptions(shard, peer.worker_id)));
   // Recovering over the worker's own checkpoint dir restores its acked
   // records exactly; trim what the recovery already owns, then deliver
   // the rest of the outbox in-process.
@@ -537,7 +575,7 @@ Status FabricService::DrainOrphans() {
         Peer& home_peer = *peers_[home];
         std::lock_guard<std::mutex> lock(home_peer.mu);
         if (home_peer.state == PeerState::kDead &&
-            !config_.local_fallback_root.empty()) {
+            !config_.checkpoint_root.empty()) {
           Status takeover = LocalTakeoverLocked(home, home_peer);
           if (!takeover.ok()) {
             std::lock_guard<std::mutex> orphans_lock(orphans_mu_);
@@ -609,8 +647,9 @@ Status FabricService::Submit(const linalg::Vector& record) {
   // wrong-dimension record would make every batch sharing a frame with
   // it undecodable — a poison pill the worker rejects forever, which
   // reads as a dead shard. Reject it here, before it takes an arrival
-  // index or touches any outbox.
-  if (record.dim() != config_.dim) {
+  // index or touches any outbox. In-process shards need no such guard:
+  // a stream shard quarantines the record and a batch shard refuses it.
+  if (!config_.workers.empty() && record.dim() != config_.dim) {
     return InvalidArgumentError(
         "record dimension " + std::to_string(record.dim()) +
         " does not match the fabric dimension " +
@@ -742,6 +781,19 @@ void FabricService::HeartbeatLoop() {
   }
 }
 
+std::vector<runtime::StreamPipelineStats> FabricService::stats() const {
+  std::vector<runtime::StreamPipelineStats> all(peers_.size());
+  for (std::size_t shard = 0; shard < peers_.size(); ++shard) {
+    Peer& peer = *peers_[shard];
+    std::lock_guard<std::mutex> lock(peer.mu);
+    if (peer.state == PeerState::kLocal) {
+      all[shard] = peer.local->live_stream_stats().value_or(
+          runtime::StreamPipelineStats{});
+    }
+  }
+  return all;
+}
+
 StatusOr<FabricResult> FabricService::Finish() {
   if (finished_) {
     return FailedPreconditionError("Finish was already called");
@@ -765,12 +817,19 @@ StatusOr<FabricResult> FabricService::Finish() {
   // orphans nothing — its acked state recovers alone via takeover.
   CONDENSA_RETURN_IF_ERROR(SettleDeliveries());
 
-  FabricResult result;
-  std::vector<core::CondensedGroupSet> shard_sets;
-  shard_sets.reserve(peers_.size());
-  for (std::size_t shard = 0; shard < peers_.size(); ++shard) {
+  // One slot per shard. Remote peers finish first, in shard order (a
+  // remote peer that fails here is taken over and joins the in-process
+  // ones); then the in-process shards finish in parallel.
+  const std::size_t n = peers_.size();
+  std::vector<StatusOr<core::CondensedGroupSet>> sets(
+      n, StatusOr<core::CondensedGroupSet>(
+             core::CondensedGroupSet(config_.dim, config_.group_size)));
+  std::vector<ShardReport> reports(n);
+  std::vector<std::function<void()>> local_finishes;
+  for (std::size_t shard = 0; shard < n; ++shard) {
     Peer& peer = *peers_[shard];
     std::lock_guard<std::mutex> lock(peer.mu);
+    reports[shard].shard_id = shard;
 
     if (peer.state == PeerState::kDead) {
       // Last chance over the wire before degrading.
@@ -782,9 +841,6 @@ StatusOr<FabricResult> FabricService::Finish() {
                   peer.outbox.empty())) {
         // The peer owns no durable state of any run and no backlog —
         // an empty shard, skipped exactly.
-        shard_sets.push_back(
-            core::CondensedGroupSet(config_.dim, config_.group_size));
-        result.shard_stats.push_back(runtime::StreamPipelineStats{});
         continue;
       } else {
         CONDENSA_RETURN_IF_ERROR(LocalTakeoverLocked(shard, peer));
@@ -815,8 +871,9 @@ StatusOr<FabricResult> FabricService::Finish() {
             core::CondensedGroupSet set,
             core::DeserializeGroupSet(finish.groups_text));
         RpcSeconds("finish").Observe(timer.ElapsedSeconds());
-        shard_sets.push_back(std::move(set));
-        result.shard_stats.push_back(finish.stats);
+        sets[shard] = std::move(set);
+        reports[shard].records = finish.stats.submitted;
+        reports[shard].ledger = finish.stats;
         return OkStatus();
       }();
       if (!finished_remote.ok()) {
@@ -830,13 +887,17 @@ StatusOr<FabricResult> FabricService::Finish() {
     }
 
     if (peer.state == PeerState::kLocal) {
-      CONDENSA_ASSIGN_OR_RETURN(core::CondensedGroupSet set,
-                                peer.local->Finish(streams_[shard]));
-      CONDENSA_CHECK(peer.local->stream_stats().has_value());
-      shard_sets.push_back(std::move(set));
-      result.shard_stats.push_back(*peer.local->stream_stats());
+      local_finishes.push_back([this, shard, &peer, &sets, &reports]() {
+        std::lock_guard<std::mutex> lock(peer.mu);
+        sets[shard] = peer.local->Finish(streams_[shard]);
+        reports[shard].records = peer.local->records_submitted();
+        reports[shard].ledger = peer.local->stream_stats().value_or(
+            runtime::StreamPipelineStats{});
+      });
     }
   }
+  ParallelRun(ThreadPool::ResolveThreadCount(config_.num_threads),
+              local_finishes);
 
   // Invariant: SettleDeliveries emptied every outbox before the gather,
   // so the loop above cannot have orphaned anything. A leftover here
@@ -850,6 +911,18 @@ StatusOr<FabricResult> FabricService::Finish() {
     }
   }
 
+  FabricResult result;
+  std::vector<core::CondensedGroupSet> shard_sets;
+  shard_sets.reserve(n);
+  for (std::size_t shard = 0; shard < n; ++shard) {
+    CONDENSA_ASSIGN_OR_RETURN(core::CondensedGroupSet set,
+                              std::move(sets[shard]));
+    const core::PrivacySummary summary = set.Summary();
+    reports[shard].groups = summary.num_groups;
+    reports[shard].min_group_size = summary.min_group_size;
+    shard_sets.push_back(std::move(set));
+  }
+  result.shards = std::move(reports);
   Coordinator coordinator(
       {.group_size = config_.group_size, .split_rule = config_.split_rule});
   CONDENSA_ASSIGN_OR_RETURN(

@@ -1,14 +1,24 @@
-// The coordinator side of the networked shard fabric.
+// The sharding service: scatter (Router), condense per shard (Worker),
+// exact-merge gather (Coordinator), over one of two transports.
 //
-// FabricService is the multi-process sibling of ShardedStreamService:
-// the same scatter (Router), the same per-shard seed derivation, the
-// same gather (Coordinator) — but each shard's Worker lives in its own
-// process behind the wire protocol (shard/worker_server.h). Because the
-// routing, seeds, per-shard ingest order, and gather fold are all
-// byte-identical to the in-process service, a clean fabric run releases
-// a BIT-IDENTICAL group set for the same (seed, shard count, policy).
+// A condensed group is fully described by its additive moments (Fs, Sc,
+// n), so the gather is the same exact merge wherever a shard runs. Each
+// shard is a Peer, and the Peer is the transport seam:
 //
-// Membership and failure handling (the point of the fabric):
+//   kLocal      an in-process Worker. With no endpoints configured every
+//               shard is kLocal from Start: durable streaming under
+//               <checkpoint_root>/shard-<i>, or an in-memory static batch
+//               (paper Fig. 1) condensed at Finish.
+//   kConnected  a Worker in another process behind the wire protocol
+//               (shard/worker_server.h), one endpoint per shard.
+//
+// Both transports share the routing, the per-shard seed derivation
+// (Router::SplitStreams of Rng(seed), in shard order), the per-shard
+// ingest order and the gather fold, so a clean networked run releases a
+// BIT-IDENTICAL group set to the in-process run with the same (seed,
+// shard count, policy).
+//
+// Membership and failure handling (networked transport only):
 //
 //   register/handshake   The coordinator dials every endpoint at Start
 //                        and exchanges Hello/HelloAck. The HelloAck's
@@ -39,17 +49,20 @@
 //                        stays exact: accepted = submitted + duplicates.
 //   rejoin               Dead peers are redialed in the background; a
 //                        revived worker resumes from its own checkpoint.
-//   local fallback       With local_fallback_root set (same filesystem),
-//                        a peer that cannot be revived is taken over by
-//                        an in-process Worker on the same checkpoint
-//                        dir — recovering its durable state exactly. On
-//                        total network failure every shard degrades this
-//                        way and the run completes in-process.
+//   local takeover       With checkpoint_root set (same filesystem), a
+//                        peer that cannot be revived becomes kLocal: an
+//                        in-process Worker on the same checkpoint dir,
+//                        recovering its durable state exactly. On total
+//                        network failure every shard degrades this way
+//                        and the run completes in-process.
 //
-// Thread model: Submit/Finish are single-producer (like the in-process
-// service's bit-identity contract); one background thread handles
-// heartbeats and revival. Per-peer state is mutex-protected; the
-// heartbeat thread only try_locks, so it never delays the ingest path.
+// Thread model: Submit/Finish are single-producer (the bit-identity
+// contract needs one arrival order). With endpoints, one background
+// thread handles heartbeats and revival; per-peer state is
+// mutex-protected and the heartbeat thread only try_locks, so it never
+// delays the ingest path. Finish runs the kLocal shards' Finish in
+// parallel on num_threads, each into its own slot, and gathers in shard
+// order, so the release does not depend on the thread count.
 
 #ifndef CONDENSA_SHARD_FABRIC_H_
 #define CONDENSA_SHARD_FABRIC_H_
@@ -65,6 +78,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend/backend.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/condensed_group_set.h"
@@ -86,11 +100,20 @@ struct FabricEndpoint {
 };
 
 struct FabricConfig {
-  // workers[i] serves shard i; the shard count is workers.size().
+  // The transport. workers[i] serves shard i over TCP. Empty runs every
+  // shard in-process.
   std::vector<FabricEndpoint> workers;
+  // Shard count for the in-process transport. 0 means not set; with
+  // endpoints the count is workers.size(), and a non-zero num_shards
+  // must agree with it.
+  std::size_t num_shards = 0;
+  // kStaticBatch (condense each partition in memory at Finish) is
+  // in-process only; remote workers always stream durably.
+  WorkerMode mode = WorkerMode::kDurableStream;
 
   // Condensation parameters — must match the workers' expectations and,
-  // for bit-identity, the in-process run being mirrored.
+  // for bit-identity, the run being mirrored. group_size >= 2 in
+  // kDurableStream (the streaming runtime's floor), >= 1 in kStaticBatch.
   std::size_t dim = 0;
   std::size_t group_size = 10;
   core::SplitRule split_rule = core::SplitRule::kMomentConsistent;
@@ -98,16 +121,26 @@ struct FabricConfig {
   std::uint64_t seed = 42;
 
   // Anonymization backend id, resolved through backend::Registry at
-  // Start and carried to every worker in the Hello; a worker that
-  // cannot resolve it rejects the session.
+  // Start and used by every shard (carried to remote workers in the
+  // Hello; a worker that cannot resolve it rejects the session).
   std::string backend = core::CondensedGroupSet::kDefaultBackendId;
 
-  // Worker tuning forwarded in the Hello (same fields as
-  // ShardedStreamConfig so the two services stay interchangeable).
+  // Worker tuning (forwarded in the Hello to remote workers).
   std::size_t snapshot_interval = 1024;
   bool sync_every_append = true;
   std::size_t queue_capacity = 1024;
   std::size_t batch_size = 32;
+
+  // In-process shards checkpoint under <checkpoint_root>/shard-<i>:
+  // every shard when workers is empty (required in kDurableStream), or
+  // a taken-over peer otherwise. For takeover, point it at the tree the
+  // workers use (shared filesystem) so it recovers their durable state;
+  // empty disables takeover, and an unreachable peer at Finish is an
+  // error.
+  std::string checkpoint_root;
+  // Threads for the in-process shards' Finish; 0 = one per hardware
+  // thread. The release is identical at any thread count.
+  std::size_t num_threads = 0;
 
   // Records per Submit frame. Larger batches amortize the per-RPC flush
   // barrier; smaller ones shrink the re-send window after a crash.
@@ -129,11 +162,10 @@ struct FabricConfig {
   // reconnect incident).
   runtime::RetryPolicy reconnect;
 
-  // When non-empty: checkpoint root for in-process takeover of
-  // unreachable peers. Point it at the same directory tree the workers
-  // use (shared filesystem) so takeover recovers their durable state.
-  // Empty disables takeover — an unreachable peer at Finish is an error.
-  std::string local_fallback_root;
+  // workers.size() when endpoints are given, otherwise num_shards.
+  std::size_t shard_count() const {
+    return workers.empty() ? num_shards : workers.size();
+  }
 
   Status Validate() const;
 };
@@ -157,14 +189,26 @@ struct FabricReport {
   std::string ToString() const;
 };
 
+// One shard's part of a Finish.
+struct ShardReport {
+  std::size_t shard_id = 0;
+  // Records submitted to the shard's worker in this run.
+  std::size_t records = 0;
+  // The shard-local set before the gather.
+  std::size_t groups = 0;
+  std::size_t min_group_size = 0;
+  // The shard's zero-silent-loss ledger (all zero in kStaticBatch).
+  runtime::StreamPipelineStats ledger;
+};
+
 struct FabricResult {
   core::CondensedGroupSet groups{0, 0};
   GatherReport gather;
-  // Per-shard final ledgers, in shard order.
-  std::vector<runtime::StreamPipelineStats> shard_stats;
+  // One report per shard, in shard order.
+  std::vector<ShardReport> shards;
   FabricReport report;
 
-  // Zero-silent-loss across the fabric: every shard ledger balances.
+  // Zero silent loss: every shard ledger balances.
   bool Balanced() const;
   std::size_t TotalAccepted() const;
   std::size_t TotalApplied() const;
@@ -172,11 +216,13 @@ struct FabricResult {
 
 class FabricService {
  public:
-  // Connects and handshakes every worker, starts the heartbeat thread.
-  // Endpoints that cannot be dialed at Start are handled like any other
-  // death: re-routed around, revived in the background, or (with
-  // local_fallback_root) taken over — Start only fails outright when no
-  // shard can accept records at all.
+  // Without endpoints: starts (or crash-recovers) every in-process shard
+  // Worker; any shard failing to start fails the service. With
+  // endpoints: connects and handshakes every worker and starts the
+  // heartbeat thread. Endpoints that cannot be dialed at Start are
+  // handled like any other death: re-routed around, revived in the
+  // background, or (with checkpoint_root) taken over — Start only fails
+  // outright when no shard can accept records at all.
   static StatusOr<std::unique_ptr<FabricService>> Start(FabricConfig config);
 
   FabricService(const FabricService&) = delete;
@@ -186,15 +232,22 @@ class FabricService {
   // workers keep their durable state for the next run).
   ~FabricService();
 
-  std::size_t num_shards() const { return config_.workers.size(); }
+  std::size_t num_shards() const { return config_.shard_count(); }
 
-  // Routes and (batched) delivers one record; single producer.
+  // Routes and delivers one record; single producer. A record of the
+  // wrong dimension is InvalidArgument with endpoints (the wire cannot
+  // carry it); an in-process stream shard quarantines it instead, and
+  // its ledger counts it.
   Status Submit(const linalg::Vector& record);
   std::size_t records_submitted() const { return submitted_; }
 
+  // Live ledgers of the in-process stream shards, in shard order. A
+  // remote or batch shard reads all zero; its ledger comes with Finish.
+  std::vector<runtime::StreamPipelineStats> stats() const;
+
   // Flushes every outbox, runs Finish on every worker (over the wire,
-  // or locally for taken-over shards), gathers in shard order, and
-  // returns the global release. Callable once.
+  // or in-process), gathers in shard order, and returns the global
+  // release. Callable once.
   StatusOr<FabricResult> Finish();
 
   FabricReport report() const;
@@ -223,7 +276,7 @@ class FabricService {
     // Consecutive failed revival attempts (drives the backoff schedule).
     std::size_t redial_failures = 0;
     double next_redial_ms = 0.0;
-    // In-process takeover worker (state == kLocal).
+    // The in-process worker (state == kLocal).
     std::unique_ptr<Worker> local;
   };
 
@@ -242,7 +295,10 @@ class FabricService {
   // Applies the durable_total learned from a handshake: trims the
   // already-owned outbox prefix and books duplicate detections.
   void AbsorbDurableTotalLocked(Peer& peer, std::uint64_t durable_total);
-  // In-process takeover over local_fallback_root.
+  // Options of shard's in-process Worker, at Start or at takeover.
+  WorkerOptions LocalWorkerOptions(std::size_t shard,
+                                   const std::string& worker_id) const;
+  // In-process takeover over checkpoint_root.
   Status LocalTakeoverLocked(std::size_t shard, Peer& peer);
 
   // --- re-routing (takes orphans_mu_, then peer mutexes) ---
@@ -258,7 +314,12 @@ class FabricService {
   Status ProbePeerLocked(std::size_t shard, Peer& peer);
 
   FabricConfig config_;
+  // Resolved from config_.backend at Start.
+  const backend::AnonymizationBackend* backend_ = nullptr;
   Router router_;
+  // Per-shard substreams split from Rng(seed) in shard order; each
+  // shard's seed is its stream's first draw, and a batch shard condenses
+  // with the rest of the stream.
   std::vector<Rng> streams_;
   std::vector<std::uint64_t> shard_seeds_;
   std::vector<std::unique_ptr<Peer>> peers_;

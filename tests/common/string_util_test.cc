@@ -75,6 +75,10 @@ TEST(ParseIntTest, ParsesValidIntegers) {
   EXPECT_EQ(v, -9);
   EXPECT_TRUE(ParseInt(" 0 ", &v));
   EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt("-2147483648", &v));
+  EXPECT_EQ(v, std::numeric_limits<int>::min());
+  EXPECT_TRUE(ParseInt("2147483647", &v));
+  EXPECT_EQ(v, std::numeric_limits<int>::max());
 }
 
 TEST(ParseIntTest, RejectsMalformedInput) {
@@ -83,6 +87,9 @@ TEST(ParseIntTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseInt("3.5", &v));
   EXPECT_FALSE(ParseInt("seven", &v));
   EXPECT_FALSE(ParseInt("99999999999999999999", &v));
+  // One past each end of the int range.
+  EXPECT_FALSE(ParseInt("-2147483649", &v));
+  EXPECT_FALSE(ParseInt("2147483648", &v));
 }
 
 TEST(ParseSizeTest, ParsesTheFullSizeRange) {

@@ -32,7 +32,6 @@
 #include "common/random.h"
 #include "core/serialization.h"
 #include "shard/fabric.h"
-#include "shard/stream_service.h"
 #include "shard/worker_process.h"
 #include "shard/worker_server.h"
 
@@ -108,13 +107,13 @@ TEST_F(FabricSoakTest, ForkedWorkersReleaseBitIdenticalToInProcess) {
   const std::size_t kShards = 2;
   const std::vector<Vector> stream = MakeStream(900, 3, 11);
 
-  ShardedStreamConfig reference;
+  FabricConfig reference;
   reference.num_shards = kShards;
   reference.dim = 3;
   reference.group_size = 10;
   reference.checkpoint_root = Dir("inproc");
   reference.seed = 77;
-  auto in_process = ShardedStreamService::Start(reference);
+  auto in_process = FabricService::Start(reference);
   ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*in_process)->Submit(record).ok());
@@ -228,7 +227,7 @@ TEST_F(FabricSoakTest, KilledWorkerWithoutRespawnIsTakenOverLocally) {
 
   std::vector<WorkerProcess> workers;
   FabricConfig config = SoakConfig(3);
-  config.local_fallback_root = root;  // same parent as the workers
+  config.checkpoint_root = root;  // same parent as the workers
   for (std::size_t i = 0; i < kShards; ++i) {
     WorkerServerConfig server;
     server.checkpoint_root = root;

@@ -1,4 +1,5 @@
-// Chaos soak for sharded condensation (shard/stream_service.h).
+// Chaos soak for sharded condensation over in-process durable shards
+// (shard/fabric.h with no worker endpoints).
 //
 // Two failure stories the scatter/gather design must survive:
 //
@@ -29,7 +30,7 @@
 #include "common/io.h"
 #include "common/random.h"
 #include "linalg/vector.h"
-#include "shard/stream_service.h"
+#include "shard/fabric.h"
 
 namespace condensa::shard {
 namespace {
@@ -65,9 +66,8 @@ std::string FreshRoot(const std::string& tag) {
   return root;
 }
 
-ShardedStreamConfig SoakConfig(const std::string& root,
-                               std::size_t shards) {
-  ShardedStreamConfig config;
+FabricConfig SoakConfig(const std::string& root, std::size_t shards) {
+  FabricConfig config;
   config.num_shards = shards;
   config.dim = 3;
   config.group_size = 5;
@@ -89,7 +89,7 @@ TEST(ShardSoakTest, WorkerKilledMidIngestRecoversWithZeroSilentLoss) {
   const std::string root = FreshRoot("killed_worker");
   constexpr std::size_t kShards = 3;
 
-  auto service = ShardedStreamService::Start(SoakConfig(root, kShards));
+  auto service = FabricService::Start(SoakConfig(root, kShards));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   Rng rng(1);
@@ -128,7 +128,7 @@ TEST(ShardSoakTest, WorkerKilledMidIngestRecoversWithZeroSilentLoss) {
   // quarantined-with-reason; nothing vanished.
   std::size_t applied = 0, quarantined = 0, accepted = 0, reopens = 0;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    const runtime::StreamPipelineStats& stats = result->shard_stats[shard];
+    const runtime::StreamPipelineStats& stats = result->shards[shard].ledger;
     SCOPED_TRACE("shard " + std::to_string(shard) + ": " + stats.ToString());
     EXPECT_TRUE(stats.Balanced());
     EXPECT_EQ(stats.dropped, 0u);
@@ -152,13 +152,13 @@ TEST(ShardSoakTest, TornJournalInOneShardRecoversAlone) {
   FailPoint::Reset();
   const std::string root = FreshRoot("torn_journal");
   constexpr std::size_t kShards = 3;
-  const ShardedStreamConfig config = SoakConfig(root, kShards);
+  const FabricConfig config = SoakConfig(root, kShards);
 
   // Run 1: ingest and checkpoint, remembering what each shard applied.
   std::vector<std::size_t> applied_run1;
   std::size_t total_run1 = 0;
   {
-    auto service = ShardedStreamService::Start(config);
+    auto service = FabricService::Start(config);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     Rng rng(2);
     for (int i = 0; i < 240; ++i) {
@@ -166,7 +166,8 @@ TEST(ShardSoakTest, TornJournalInOneShardRecoversAlone) {
     }
     auto result = (*service)->Finish();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const runtime::StreamPipelineStats& stats : result->shard_stats) {
+    for (const ShardReport& report : result->shards) {
+      const runtime::StreamPipelineStats& stats = report.ledger;
       EXPECT_TRUE(stats.Balanced());
       applied_run1.push_back(stats.applied);
       total_run1 += stats.applied;
@@ -195,7 +196,7 @@ TEST(ShardSoakTest, TornJournalInOneShardRecoversAlone) {
 
   // Run 2: every shard recovers from its own directory; shard 1 truncates
   // the torn tail and loses nothing that was acknowledged.
-  auto service = ShardedStreamService::Start(config);
+  auto service = FabricService::Start(config);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   Rng rng(3);
   for (int i = 0; i < 120; ++i) {
@@ -205,7 +206,8 @@ TEST(ShardSoakTest, TornJournalInOneShardRecoversAlone) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   std::size_t applied_run2 = 0;
-  for (const runtime::StreamPipelineStats& stats : result->shard_stats) {
+  for (const ShardReport& report : result->shards) {
+    const runtime::StreamPipelineStats& stats = report.ledger;
     EXPECT_TRUE(stats.Balanced());
     applied_run2 += stats.applied;
   }
@@ -222,7 +224,7 @@ TEST(ShardSoakTest, DiskChaosAcrossAllShardsKeepsLedgersBalanced) {
   const std::string root = FreshRoot("disk_chaos");
   constexpr std::size_t kShards = 2;
 
-  auto service = ShardedStreamService::Start(SoakConfig(root, kShards));
+  auto service = FabricService::Start(SoakConfig(root, kShards));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   FailPoint::Arm("io.append", {.code = StatusCode::kUnavailable,
@@ -255,7 +257,8 @@ TEST(ShardSoakTest, DiskChaosAcrossAllShardsKeepsLedgersBalanced) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   std::size_t applied = 0, quarantined = 0;
-  for (const runtime::StreamPipelineStats& stats : result->shard_stats) {
+  for (const ShardReport& report : result->shards) {
+    const runtime::StreamPipelineStats& stats = report.ledger;
     SCOPED_TRACE(stats.ToString());
     EXPECT_TRUE(stats.Balanced());
     EXPECT_EQ(stats.spool_remaining, 0u);

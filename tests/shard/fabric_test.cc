@@ -19,7 +19,6 @@
 #include "common/random.h"
 #include "core/serialization.h"
 #include "obs/metrics.h"
-#include "shard/stream_service.h"
 #include "shard/worker.h"
 #include "shard/worker_server.h"
 
@@ -134,6 +133,15 @@ TEST_F(FabricTest, ValidateRejectsBadConfigs) {
   config.heartbeat_timeout_ms = config.heartbeat_interval_ms * 4;
   EXPECT_TRUE(config.Validate().ok());
 
+  config.num_shards = 2;  // disagrees with the one endpoint
+  EXPECT_FALSE(config.Validate().ok());
+  config.num_shards = 1;
+  EXPECT_TRUE(config.Validate().ok());
+
+  config.mode = WorkerMode::kStaticBatch;  // remote workers only stream
+  EXPECT_FALSE(config.Validate().ok());
+  config.mode = WorkerMode::kDurableStream;
+
   // The largest Submit frame a config can produce must stay under the
   // 64 MiB frame payload cap — EncodeFrame CHECK-fails past it, so a
   // config that crossed it would crash the coordinator at the first
@@ -150,6 +158,13 @@ TEST_F(FabricTest, ValidateRejectsBadConfigs) {
   config.wire_batch = 8;
   config.dim = (1u << 16) + 1;  // above the wire dim cap
   EXPECT_FALSE(config.Validate().ok());
+
+  // The wire caps bind only records that cross the wire.
+  config.workers.clear();
+  config.num_shards = 2;
+  config.checkpoint_root = "in-process";  // Validate reads no disk
+  config.wire_batch = 0;
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST_F(FabricTest, SubmitRejectsWrongDimensionRecord) {
@@ -194,13 +209,13 @@ TEST_F(FabricTest, ReleaseIsBitIdenticalToInProcessService) {
   const std::vector<Vector> stream = MakeStream(1200, 4, 5);
 
   // In-process reference run.
-  ShardedStreamConfig reference;
+  FabricConfig reference;
   reference.num_shards = kShards;
   reference.dim = 4;
   reference.group_size = 10;
   reference.checkpoint_root = Dir("inproc");
   reference.seed = 91;
-  auto in_process = ShardedStreamService::Start(reference);
+  auto in_process = FabricService::Start(reference);
   ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*in_process)->Submit(record).ok());
@@ -233,10 +248,10 @@ TEST_F(FabricTest, ReleaseIsBitIdenticalToInProcessService) {
   EXPECT_EQ(result->TotalAccepted(), stream.size());
   EXPECT_EQ(result->report.handoffs, 0u);
   EXPECT_EQ(result->report.rerouted_records, 0u);
-  ASSERT_EQ(result->shard_stats.size(), kShards);
+  ASSERT_EQ(result->shards.size(), kShards);
   for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(result->shard_stats[i].accepted,
-              expected->shard_stats[i].accepted)
+    EXPECT_EQ(result->shards[i].ledger.accepted,
+              expected->shards[i].ledger.accepted)
         << "shard " << i;
   }
 }
@@ -315,20 +330,20 @@ TEST_F(FabricTest, DeadEndpointIsRoutedAroundWithZeroLoss) {
 }
 
 TEST_F(FabricTest, TotalOutageDegradesToLocalFallbackBitIdentically) {
-  // No endpoint is reachable at all, but local_fallback_root is set: the
+  // No endpoint is reachable at all, but checkpoint_root is set: the
   // run must complete entirely in-process AND still release the same
   // bytes as the healthy in-process run (takeover mirrors the same
   // routing, seeds, and gather order).
   const std::size_t kShards = 2;
   const std::vector<Vector> stream = MakeStream(800, 3, 7);
 
-  ShardedStreamConfig reference;
+  FabricConfig reference;
   reference.num_shards = kShards;
   reference.dim = 3;
   reference.group_size = 10;
   reference.checkpoint_root = Dir("inproc");
   reference.seed = 91;
-  auto in_process = ShardedStreamService::Start(reference);
+  auto in_process = FabricService::Start(reference);
   ASSERT_TRUE(in_process.ok());
   for (const Vector& record : stream) {
     ASSERT_TRUE((*in_process)->Submit(record).ok());
@@ -338,7 +353,7 @@ TEST_F(FabricTest, TotalOutageDegradesToLocalFallbackBitIdentically) {
 
   FabricConfig config = BaseConfig(3);
   config.workers = {{"127.0.0.1", 1}, {"127.0.0.1", 1}};
-  config.local_fallback_root = Dir("fallback");
+  config.checkpoint_root = Dir("fallback");
   auto fabric = FabricService::Start(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   for (const Vector& record : stream) {
@@ -401,13 +416,13 @@ TEST_F(FabricTest, WorkerDeathAtFinishIsTakenOverWithItsBacklog) {
   const std::size_t kShards = 3;
   const std::vector<Vector> stream = MakeStream(600, 4, 11);
 
-  ShardedStreamConfig reference;
+  FabricConfig reference;
   reference.num_shards = kShards;
   reference.dim = 4;
   reference.group_size = 10;
   reference.checkpoint_root = Dir("inproc");
   reference.seed = 91;
-  auto in_process = ShardedStreamService::Start(reference);
+  auto in_process = FabricService::Start(reference);
   ASSERT_TRUE(in_process.ok());
   for (const Vector& record : stream) {
     ASSERT_TRUE((*in_process)->Submit(record).ok());
@@ -420,7 +435,7 @@ TEST_F(FabricTest, WorkerDeathAtFinishIsTakenOverWithItsBacklog) {
   config.wire_batch = 100000;
   config.io_timeout_ms = 500.0;
   config.ack_timeout_ms = 1000.0;
-  config.local_fallback_root = Dir("fallback");
+  config.checkpoint_root = Dir("fallback");
   for (std::size_t i = 0; i < kShards; ++i) {
     servers.push_back(StartServer(Dir("w" + std::to_string(i))));
     config.workers.push_back(

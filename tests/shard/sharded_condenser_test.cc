@@ -1,8 +1,13 @@
-#include "shard/sharded_condenser.h"
+// ShardedCondenserTest: the in-process static-batch transport of the
+// sharding service (kStaticBatch, no endpoints) — scatter, condense each
+// partition at Finish, exact-merge gather.
+
+#include "shard/fabric.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,17 +36,35 @@ std::vector<Vector> GaussianRecords(std::size_t count, std::size_t dim,
   return records;
 }
 
+FabricConfig BatchConfig(std::size_t shards, std::size_t k,
+                         std::uint64_t seed) {
+  FabricConfig config;
+  config.num_shards = shards;
+  config.mode = WorkerMode::kStaticBatch;
+  config.group_size = k;
+  config.num_threads = 1;
+  config.seed = seed;
+  return config;
+}
+
+// One batch run over `records`, which share one dimension.
+StatusOr<FabricResult> Condense(FabricConfig config,
+                                const std::vector<Vector>& records) {
+  config.dim = records.front().dim();
+  CONDENSA_ASSIGN_OR_RETURN(std::unique_ptr<FabricService> service,
+                            FabricService::Start(config));
+  for (const Vector& record : records) {
+    CONDENSA_RETURN_IF_ERROR(service->Submit(record));
+  }
+  return service->Finish();
+}
+
 TEST(ShardedCondenserTest, ConservesRecordsAndKFloorAcrossShardCounts) {
   const std::size_t n = 600;
   const std::size_t k = 10;
   std::vector<Vector> records = GaussianRecords(n, 4, 11);
   for (std::size_t shards : {1u, 2u, 4u, 7u}) {
-    ShardedCondenserConfig config;
-    config.num_shards = shards;
-    config.group_size = k;
-    config.num_threads = 1;
-    Rng rng(99);
-    auto result = ShardedCondenser(config).Condense(records, rng);
+    auto result = Condense(BatchConfig(shards, k, 99), records);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->groups.TotalRecords(), n) << "shards=" << shards;
     EXPECT_GE(result->groups.Summary().min_group_size, k)
@@ -66,12 +89,7 @@ TEST(ShardedCondenserTest, PreservesGlobalMeanExactly) {
   Vector raw_sum(dim);
   for (const Vector& record : records) raw_sum += record;
 
-  ShardedCondenserConfig config;
-  config.num_shards = 4;
-  config.group_size = 8;
-  config.num_threads = 1;
-  Rng rng(5);
-  auto result = ShardedCondenser(config).Condense(records, rng);
+  auto result = Condense(BatchConfig(4, 8, 5), records);
   ASSERT_TRUE(result.ok()) << result.status();
 
   Vector condensed_sum(dim);
@@ -85,16 +103,9 @@ TEST(ShardedCondenserTest, PreservesGlobalMeanExactly) {
 
 TEST(ShardedCondenserTest, FixedSeedAndShardCountIsBitIdentical) {
   std::vector<Vector> records = GaussianRecords(300, 3, 13);
-  ShardedCondenserConfig config;
-  config.num_shards = 4;
-  config.group_size = 8;
-  config.num_threads = 1;
-  ShardedCondenser condenser(config);
-
-  Rng rng_a(7);
-  Rng rng_b(7);
-  auto first = condenser.Condense(records, rng_a);
-  auto second = condenser.Condense(records, rng_b);
+  const FabricConfig config = BatchConfig(4, 8, 7);
+  auto first = Condense(config, records);
+  auto second = Condense(config, records);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(core::SerializeGroupSet(first->groups),
@@ -103,16 +114,10 @@ TEST(ShardedCondenserTest, FixedSeedAndShardCountIsBitIdentical) {
 
 TEST(ShardedCondenserTest, ThreadCountDoesNotChangeOutput) {
   std::vector<Vector> records = GaussianRecords(300, 3, 14);
-  ShardedCondenserConfig config;
-  config.num_shards = 4;
-  config.group_size = 8;
-
-  config.num_threads = 1;
-  Rng rng_serial(21);
-  auto serial = ShardedCondenser(config).Condense(records, rng_serial);
+  FabricConfig config = BatchConfig(4, 8, 21);
+  auto serial = Condense(config, records);
   config.num_threads = 4;
-  Rng rng_parallel(21);
-  auto parallel = ShardedCondenser(config).Condense(records, rng_parallel);
+  auto parallel = Condense(config, records);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(core::SerializeGroupSet(serial->groups),
@@ -123,12 +128,7 @@ TEST(ShardedCondenserTest, ShardSmallerThanKIsFoldedNotDropped) {
   // 4 shards, 25 records, k = 10: some partitions end below the k-floor;
   // their remainders must be folded into the global structure.
   std::vector<Vector> records = GaussianRecords(25, 2, 15);
-  ShardedCondenserConfig config;
-  config.num_shards = 4;
-  config.group_size = 10;
-  config.num_threads = 1;
-  Rng rng(3);
-  auto result = ShardedCondenser(config).Condense(records, rng);
+  auto result = Condense(BatchConfig(4, 10, 3), records);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->groups.TotalRecords(), 25u);
   EXPECT_GE(result->groups.Summary().min_group_size, 10u);
@@ -147,15 +147,11 @@ TEST(ShardedCondenserTest, DurableStreamModeCondensesAndCheckpoints) {
   }
   CreateDirectories(root);
   std::vector<Vector> records = GaussianRecords(200, 3, 16);
-  ShardedCondenserConfig config;
-  config.num_shards = 2;
+  FabricConfig config = BatchConfig(2, 5, 9);
   config.mode = WorkerMode::kDurableStream;
-  config.group_size = 5;
   config.checkpoint_root = root;
   config.sync_every_append = false;
-  config.num_threads = 1;
-  Rng rng(9);
-  auto result = ShardedCondenser(config).Condense(records, rng);
+  auto result = Condense(config, records);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->groups.TotalRecords(), 200u);
   EXPECT_GE(result->groups.Summary().min_group_size, 5u);
@@ -171,13 +167,10 @@ TEST(ShardedCondenserTest, MdavBackendStampsAndBoundsGroups) {
   const std::size_t n = 300;
   const std::size_t k = 8;
   std::vector<Vector> records = GaussianRecords(n, 3, 23);
-  ShardedCondenserConfig config;
-  config.num_shards = 4;
-  config.group_size = k;
+  FabricConfig config = BatchConfig(4, k, 7);
   config.num_threads = 2;
   config.backend = "mdav";
-  Rng rng(7);
-  auto result = ShardedCondenser(config).Condense(records, rng);
+  auto result = Condense(config, records);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->groups.backend_id(), "mdav");
   EXPECT_EQ(result->groups.backend_version(), 1);
@@ -191,10 +184,9 @@ TEST(ShardedCondenserTest, MdavBackendStampsAndBoundsGroups) {
 
 TEST(ShardedCondenserTest, UnknownBackendIsRejectedBeforeWork) {
   std::vector<Vector> records = GaussianRecords(40, 2, 29);
-  ShardedCondenserConfig config;
+  FabricConfig config = BatchConfig(1, 10, 1);
   config.backend = "bogus";
-  Rng rng(1);
-  auto result = ShardedCondenser(config).Condense(records, rng);
+  auto result = Condense(config, records);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(IsNotFound(result.status()));
   EXPECT_NE(std::string(result.status().message()).find("available"),
@@ -203,26 +195,23 @@ TEST(ShardedCondenserTest, UnknownBackendIsRejectedBeforeWork) {
 
 TEST(ShardedCondenserTest, RejectsBadConfigsAndInputs) {
   std::vector<Vector> records = GaussianRecords(50, 2, 17);
-  Rng rng(1);
 
-  ShardedCondenserConfig zero_shards;
-  zero_shards.num_shards = 0;
-  EXPECT_TRUE(IsInvalidArgument(
-      ShardedCondenser(zero_shards).Condense(records, rng).status()));
+  FabricConfig zero_shards = BatchConfig(0, 10, 1);
+  EXPECT_TRUE(IsInvalidArgument(Condense(zero_shards, records).status()));
 
-  ShardedCondenserConfig stream_without_root;
+  FabricConfig stream_without_root = BatchConfig(1, 10, 1);
   stream_without_root.mode = WorkerMode::kDurableStream;
-  EXPECT_TRUE(IsInvalidArgument(
-      ShardedCondenser(stream_without_root).Condense(records, rng).status()));
+  EXPECT_TRUE(
+      IsInvalidArgument(Condense(stream_without_root, records).status()));
 
-  ShardedCondenserConfig ok;
-  EXPECT_TRUE(IsInvalidArgument(
-      ShardedCondenser(ok).Condense({}, rng).status()));
+  // The service is told the record dimension up front; it cannot be 0.
+  FabricConfig no_dimension = BatchConfig(1, 10, 1);
+  EXPECT_TRUE(IsInvalidArgument(FabricService::Start(no_dimension).status()));
 
   std::vector<Vector> ragged = records;
   ragged.push_back(Vector{1.0, 2.0, 3.0});
-  EXPECT_TRUE(IsInvalidArgument(
-      ShardedCondenser(ok).Condense(ragged, rng).status()));
+  EXPECT_TRUE(
+      IsInvalidArgument(Condense(BatchConfig(1, 10, 1), ragged).status()));
 }
 
 }  // namespace

@@ -1,4 +1,8 @@
-#include "shard/stream_service.h"
+// StreamServiceTest: the in-process durable-stream transport of the
+// sharding service (kDurableStream, no endpoints) — one crash-safe
+// pipeline per shard under <checkpoint_root>/shard-<i>.
+
+#include "shard/fabric.h"
 
 #include <gtest/gtest.h>
 
@@ -37,8 +41,8 @@ class StreamServiceTest : public ::testing::Test {
     CreateDirectories(root_);
   }
 
-  ShardedStreamConfig Config(std::size_t shards) const {
-    ShardedStreamConfig config;
+  FabricConfig Config(std::size_t shards) const {
+    FabricConfig config;
     config.num_shards = shards;
     config.dim = 3;
     config.group_size = 4;
@@ -65,7 +69,7 @@ class StreamServiceTest : public ::testing::Test {
 
 TEST_F(StreamServiceTest, IngestsAcrossShardsWithBalancedLedgers) {
   const std::size_t n = 300;
-  auto service = ShardedStreamService::Start(Config(3));
+  auto service = FabricService::Start(Config(3));
   ASSERT_TRUE(service.ok()) << service.status();
   for (const Vector& record : Records(n, 1)) {
     ASSERT_TRUE((*service)->Submit(record).ok());
@@ -74,7 +78,7 @@ TEST_F(StreamServiceTest, IngestsAcrossShardsWithBalancedLedgers) {
 
   auto result = (*service)->Finish();
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->shard_stats.size(), 3u);
+  ASSERT_EQ(result->shards.size(), 3u);
   EXPECT_TRUE(result->Balanced());
   EXPECT_EQ(result->TotalAccepted(), n);
   EXPECT_EQ(result->TotalApplied(), n);
@@ -84,7 +88,7 @@ TEST_F(StreamServiceTest, IngestsAcrossShardsWithBalancedLedgers) {
 }
 
 TEST_F(StreamServiceTest, EveryShardCheckpointsInItsOwnDirectory) {
-  auto service = ShardedStreamService::Start(Config(4));
+  auto service = FabricService::Start(Config(4));
   ASSERT_TRUE(service.ok()) << service.status();
   for (const Vector& record : Records(120, 2)) {
     ASSERT_TRUE((*service)->Submit(record).ok());
@@ -92,8 +96,6 @@ TEST_F(StreamServiceTest, EveryShardCheckpointsInItsOwnDirectory) {
   auto result = (*service)->Finish();
   ASSERT_TRUE(result.ok()) << result.status();
   for (std::size_t shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ((*service)->checkpoint_dir(shard),
-              root_ + "/shard-" + std::to_string(shard));
     auto entries = ListDirectory(root_ + "/shard-" + std::to_string(shard));
     ASSERT_TRUE(entries.ok()) << entries.status();
     EXPECT_FALSE(entries->empty()) << "shard " << shard;
@@ -108,7 +110,7 @@ TEST_F(StreamServiceTest, FixedSeedAndShardCountReplaysBitIdentically) {
     for (std::size_t shard = 0; shard < 2; ++shard) {
       WipeTree(root_ + "/shard-" + std::to_string(shard));
     }
-    auto service = ShardedStreamService::Start(Config(2));
+    auto service = FabricService::Start(Config(2));
     ASSERT_TRUE(service.ok()) << service.status();
     for (const Vector& record : records) {
       ASSERT_TRUE((*service)->Submit(record).ok());
@@ -125,7 +127,7 @@ TEST_F(StreamServiceTest, FixedSeedAndShardCountReplaysBitIdentically) {
 }
 
 TEST_F(StreamServiceTest, SubmitAfterFinishFailsCleanly) {
-  auto service = ShardedStreamService::Start(Config(2));
+  auto service = FabricService::Start(Config(2));
   ASSERT_TRUE(service.ok()) << service.status();
   for (const Vector& record : Records(40, 4)) {
     ASSERT_TRUE((*service)->Submit(record).ok());
@@ -138,25 +140,25 @@ TEST_F(StreamServiceTest, SubmitAfterFinishFailsCleanly) {
 }
 
 TEST_F(StreamServiceTest, ValidatesConfig) {
-  ShardedStreamConfig config = Config(0);
+  FabricConfig config = Config(0);
   EXPECT_TRUE(
-      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+      IsInvalidArgument(FabricService::Start(config).status()));
   config = Config(2);
   config.dim = 0;
   EXPECT_TRUE(
-      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+      IsInvalidArgument(FabricService::Start(config).status()));
   config = Config(2);
   config.group_size = 1;
   EXPECT_TRUE(
-      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+      IsInvalidArgument(FabricService::Start(config).status()));
   config = Config(2);
   config.checkpoint_root.clear();
   EXPECT_TRUE(
-      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+      IsInvalidArgument(FabricService::Start(config).status()));
 }
 
 TEST_F(StreamServiceTest, LiveStatsCoverEveryShard) {
-  auto service = ShardedStreamService::Start(Config(2));
+  auto service = FabricService::Start(Config(2));
   ASSERT_TRUE(service.ok()) << service.status();
   for (const Vector& record : Records(60, 5)) {
     ASSERT_TRUE((*service)->Submit(record).ok());
@@ -169,6 +171,37 @@ TEST_F(StreamServiceTest, LiveStatsCoverEveryShard) {
   }
   EXPECT_EQ(submitted, 60u);
   ASSERT_TRUE((*service)->Finish().ok());
+}
+
+TEST_F(StreamServiceTest, WrongDimensionRecordIsQuarantinedInProcess) {
+  // In-process shards accept any record and let the shard pipeline
+  // quarantine a wrong-dimension one: Submit is OK and the ledger books
+  // it, balanced. (The networked transport rejects it at Submit instead;
+  // see FabricTest.SubmitRejectsWrongDimensionRecord.)
+  auto service = FabricService::Start(Config(2));
+  ASSERT_TRUE(service.ok()) << service.status();
+  const std::vector<Vector> records = Records(40, 6);
+  for (const Vector& record : records) {
+    ASSERT_TRUE((*service)->Submit(record).ok());
+  }
+  ASSERT_TRUE((*service)->Submit(Vector{1.0}).ok());
+  EXPECT_EQ((*service)->records_submitted(), 41u);
+
+  auto result = (*service)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->Balanced());
+  EXPECT_EQ(result->TotalAccepted(), 40u);
+  EXPECT_EQ(result->groups.TotalRecords(), 40u);
+  std::size_t quarantined = 0;
+  for (const ShardReport& shard : result->shards) {
+    if (shard.ledger.quarantined_dimension == 1) {
+      EXPECT_NE(shard.ledger.ToString().find("quarantined 1 (dimension 1,"),
+                std::string::npos)
+          << shard.ledger.ToString();
+    }
+    quarantined += shard.ledger.quarantined_dimension;
+  }
+  EXPECT_EQ(quarantined, 1u);
 }
 
 }  // namespace

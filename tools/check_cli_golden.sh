@@ -58,6 +58,9 @@ run recover recover --checkpoint-dir=state --k=5 \
   --save-groups=out/recover.groups
 run shard shard --input=points.csv --shards=2 --k=5 --seed=3 \
   --output=out/shard.csv --save-groups=out/shard.groups
+run shard_stream shard --input=points.csv --shards=2 --k=5 --seed=3 \
+  --mode=stream --checkpoint-root=shardstate --no-sync \
+  --save-groups=out/shard_stream.groups
 run serve_stream serve-stream --checkpoint-dir=stream1 --records=300 \
   --dim=3 --k=5 --no-sync
 run serve_stream_sharded serve-stream --checkpoint-dir=stream2 \

@@ -44,7 +44,7 @@ int Run(FlagSet& flags) {
              kShardPolicies, "record-to-shard routing");
   flags.Size("wire-batch", &config.wire_batch, 64, "records per Submit frame")
       .Min(1);
-  flags.Text("local-fallback-root", "DIR", &config.local_fallback_root, "",
+  flags.Text("local-fallback-root", "DIR", &config.checkpoint_root, "",
              "take over unreachable shards with in-process workers over "
              "this checkpoint root (point it at the same tree the workers "
              "use)");
@@ -90,9 +90,9 @@ int Run(FlagSet& flags) {
   auto result = (*service)->Finish();
   if (!result.ok()) return Fail("finish failed", result.status());
 
-  for (std::size_t i = 0; i < result->shard_stats.size(); ++i) {
-    std::printf("shard %zu ledger: %s\n", i,
-                result->shard_stats[i].ToString().c_str());
+  for (const shard::ShardReport& report : result->shards) {
+    std::printf("shard %zu ledger: %s\n", report.shard_id,
+                report.ledger.ToString().c_str());
   }
   std::printf("fabric: %s\n", result->report.ToString().c_str());
   std::printf("gather: %s\n", result->gather.ToString().c_str());

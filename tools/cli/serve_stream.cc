@@ -6,7 +6,7 @@
 #include "cli/common.h"
 #include "common/failpoint.h"
 #include "runtime/pipeline.h"
-#include "shard/stream_service.h"
+#include "shard/fabric.h"
 
 namespace condensa::cli {
 namespace {
@@ -14,10 +14,10 @@ namespace {
 // Scatter/gather mode: N independent durable pipelines, each
 // checkpointing under <dir>/shard-<i>, gathered into one release by exact
 // moment merge (docs/scaling.md).
-int RunSharded(const shard::ShardedStreamConfig& config, double chaos,
+int RunSharded(const shard::FabricConfig& config, double chaos,
                MetricsFormat format,
                const std::vector<linalg::Vector>& stream) {
-  auto service = shard::ShardedStreamService::Start(config);
+  auto service = shard::FabricService::Start(config);
   if (!service.ok()) {
     return ExitFor("error starting sharded service in " +
                        config.checkpoint_root,
@@ -31,9 +31,9 @@ int RunSharded(const shard::ShardedStreamConfig& config, double chaos,
   if (chaos > 0.0) FailPoint::Reset();
   auto result = (*service)->Finish();
   if (!result.ok()) return Fail("finish failed", result.status());
-  for (std::size_t i = 0; i < result->shard_stats.size(); ++i) {
-    std::printf("shard %zu ledger: %s\n", i,
-                result->shard_stats[i].ToString().c_str());
+  for (const shard::ShardReport& report : result->shards) {
+    std::printf("shard %zu ledger: %s\n", report.shard_id,
+                report.ledger.ToString().c_str());
   }
   std::printf("gather: %s\n", result->gather.ToString().c_str());
   PrintGroupSummary(result->groups, "");
@@ -119,7 +119,7 @@ int Run(FlagSet& flags) {
   if (shards > 1) {
     // The backpressure, retry and deadline flags tune the single
     // pipeline; shards run with the defaults.
-    shard::ShardedStreamConfig sharded;
+    shard::FabricConfig sharded;
     sharded.num_shards = shards;
     sharded.policy = policy;
     sharded.dim = config.dim;

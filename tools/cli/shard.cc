@@ -3,13 +3,13 @@
 #include <cstdio>
 
 #include "cli/common.h"
-#include "shard/sharded_condenser.h"
+#include "shard/fabric.h"
 
 namespace condensa::cli {
 namespace {
 
 int Run(FlagSet& flags) {
-  shard::ShardedCondenserConfig config;
+  shard::FabricConfig config;
   std::string input, backend_id, save_groups, output;
   std::size_t records{}, dim{};
   MetricsFormat format{};
@@ -66,11 +66,24 @@ int Run(FlagSet& flags) {
   if (int code = ReadStream(input, header, config.seed, records, dim, &data)) {
     return code;
   }
-  Rng rng(config.seed);
-  auto result = shard::ShardedCondenser(config).Condense(data, rng);
+  // ReadStream yields at least one record (LoadCsv refuses an empty CSV).
+  config.dim = data.front().dim();
+  auto service = shard::FabricService::Start(config);
+  if (!service.ok()) {
+    return ExitFor("sharded condensation failed", service.status());
+  }
+  for (const linalg::Vector& record : data) {
+    Status status = (*service)->Submit(record);
+    if (!status.ok()) return ExitFor("sharded condensation failed", status);
+  }
+  auto result = (*service)->Finish();
   if (!result.ok()) {
     return ExitFor("sharded condensation failed", result.status());
   }
+  // The release draws from Rng(seed) past the per-shard split (the
+  // service's own split of the same seed); the shard golden pins it.
+  Rng rng(config.seed);
+  shard::Router::SplitStreams(rng, config.num_shards);
 
   for (const shard::ShardReport& report : result->shards) {
     std::printf("shard %zu: records=%zu groups=%zu min_group_size=%zu\n",
