@@ -84,8 +84,8 @@ StatusOr<double> Score(const condensa::data::Dataset& train,
 }
 
 StatusOr<CellOutcome> RunTrial(const ProfileSpec& profile,
-                               const std::string& backend_id, std::size_t k,
-                               std::uint64_t trial_seed) {
+                               const condensa::core::Backend& backend,
+                               std::size_t k, std::uint64_t trial_seed) {
   Rng rng(trial_seed);
   CONDENSA_ASSIGN_OR_RETURN(
       condensa::data::Dataset dataset,
@@ -101,8 +101,7 @@ StatusOr<CellOutcome> RunTrial(const ProfileSpec& profile,
   condensa::core::CondensationConfig config;
   config.group_size = k;
   config.mode = condensa::core::CondensationMode::kStatic;
-  CONDENSA_RETURN_IF_ERROR(
-      condensa::backend::ApplyBackend(backend_id, &config));
+  config.backend = backend;
   condensa::core::CondensationEngine engine(config);
   CONDENSA_ASSIGN_OR_RETURN(condensa::core::AnonymizationResult result,
                             engine.Anonymize(train, rng));
@@ -142,8 +141,8 @@ int main(int argc, char** argv) {
   const std::size_t trials = full ? 3 : 1;
   const std::uint64_t seed = 42;
 
-  const std::vector<std::string> backends =
-      condensa::backend::Registry::Global().Ids();
+  const std::vector<condensa::backend::RegistryEntry>& backends =
+      condensa::backend::Registry();
 
   condensa::bench::BenchReporter reporter("backend_sweep");
   reporter.AddScalar("trials", static_cast<double>(trials));
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nbackend indices:");
   for (std::size_t b = 0; b < backends.size(); ++b) {
-    std::printf(" %zu=%s", b, backends[b].c_str());
+    std::printf(" %zu=%s", b, backends[b].backend.id.c_str());
   }
   std::printf("\n\n%-11s %-13s %4s %7s %9s %7s %11s %10s\n", "profile",
               "backend", "k", "avg|G|", "accuracy", "mu", "pinpointed",
@@ -177,10 +176,10 @@ int main(int argc, char** argv) {
           // sees the same data draws and differences are attributable
           // to the backend alone.
           StatusOr<CellOutcome> outcome =
-              RunTrial(profile, backends[b], k, seed + 7919 * trial);
+              RunTrial(profile, backends[b].backend, k, seed + 7919 * trial);
           if (!outcome.ok()) {
             std::fprintf(stderr, "%s/%s/k=%zu failed: %s\n", profile.name,
-                         backends[b].c_str(), k,
+                         backends[b].backend.id.c_str(), k,
                          outcome.status().ToString().c_str());
             return 1;
           }
@@ -198,7 +197,7 @@ int main(int argc, char** argv) {
         mean.distance_gain /= t;
 
         std::printf("%-11s %-13s %4zu %7.2f %9.4f %7.4f %11.4f %10.3f\n",
-                    profile.name, backends[b].c_str(), k,
+                    profile.name, backends[b].backend.id.c_str(), k,
                     mean.average_group_size, mean.accuracy, mean.mu,
                     mean.pinpointed, mean.distance_gain);
         reporter.AddRow({static_cast<double>(p), static_cast<double>(b),

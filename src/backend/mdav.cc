@@ -118,34 +118,6 @@ void TakeGroup(const std::vector<linalg::Vector>& points,
   }
 }
 
-class MdavConstruction final : public GroupConstruction {
- public:
-  StatusOr<core::CondensedGroupSet> BuildGroups(
-      const std::vector<linalg::Vector>& points, std::size_t k,
-      Rng& rng) const override {
-    (void)rng;  // MDAV is deterministic; the stream is left untouched.
-    return MdavBuildGroups(points, k);
-  }
-};
-
-// Classical microaggregation release: every member is replaced by its
-// group centroid.
-class CentroidReplacement final : public Regeneration {
- public:
-  StatusOr<std::vector<linalg::Vector>> Sample(
-      const core::GroupStatistics& group, std::size_t count,
-      Rng& rng) const override {
-    (void)rng;
-    const linalg::Vector centroid = group.Centroid();
-    std::vector<linalg::Vector> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(centroid);
-    }
-    return out;
-  }
-};
-
 }  // namespace
 
 StatusOr<core::CondensedGroupSet> MdavBuildGroups(
@@ -215,24 +187,9 @@ StatusOr<core::CondensedGroupSet> MdavBuildGroups(
   return result;
 }
 
-std::unique_ptr<AnonymizationBackend> MakeMdavBackend() {
-  return std::make_unique<AnonymizationBackend>(
-      BackendInfo{.id = "mdav",
-                  .version = 1,
-                  .summary = "MDAV microaggregation: farthest-pair groups, "
-                             "centroid-replacement regeneration"},
-      std::make_unique<MdavConstruction>(),
-      std::make_unique<CentroidReplacement>());
-}
-
-std::unique_ptr<AnonymizationBackend> MakeMdavEigenBackend() {
-  return std::make_unique<AnonymizationBackend>(
-      BackendInfo{.id = "mdav-eigen",
-                  .version = 1,
-                  .summary = "MDAV microaggregation with variance-preserving "
-                             "eigendecomposition regeneration"},
-      std::make_unique<MdavConstruction>(),
-      /*regeneration=*/nullptr);
+std::vector<linalg::Vector> CentroidSample(const core::GroupStatistics& group,
+                                           std::size_t count) {
+  return std::vector<linalg::Vector>(count, group.Centroid());
 }
 
 }  // namespace condensa::backend

@@ -17,9 +17,11 @@
 // the smaller original index, matching the repo-wide (distance, index)
 // convention, so the partition is a pure function of the input order.
 //
-// Two registered backends share this construction:
-//   "mdav"        centroid-replacement regeneration (each group emits
-//                 copies of its centroid — classical microaggregation);
+// Two registered backends (src/backend/registry.cc) share this
+// construction:
+//   "mdav"        centroid-replacement regeneration (CentroidSample:
+//                 each group emits copies of its centroid — classical
+//                 microaggregation);
 //   "mdav-eigen"  variance-preserving regeneration through the built-in
 //                 eigendecomposition sampler of core/anonymizer.h.
 
@@ -27,12 +29,11 @@
 #define CONDENSA_BACKEND_MDAV_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/status.h"
 #include "core/condensed_group_set.h"
+#include "core/group_statistics.h"
 #include "linalg/vector.h"
 
 namespace condensa::backend {
@@ -46,11 +47,10 @@ StatusOr<core::CondensedGroupSet> MdavBuildGroups(
     const std::vector<linalg::Vector>& points, std::size_t k,
     std::vector<std::vector<std::size_t>>* assignments = nullptr);
 
-// Backend id "mdav", version 1 (centroid-replacement regeneration).
-std::unique_ptr<AnonymizationBackend> MakeMdavBackend();
-
-// Backend id "mdav-eigen", version 1 (eigendecomposition regeneration).
-std::unique_ptr<AnonymizationBackend> MakeMdavEigenBackend();
+// Classical microaggregation release: `count` copies of the group's
+// centroid.
+std::vector<linalg::Vector> CentroidSample(const core::GroupStatistics& group,
+                                           std::size_t count);
 
 }  // namespace condensa::backend
 

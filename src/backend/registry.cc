@@ -1,71 +1,56 @@
 #include "backend/registry.h"
 
-#include <utility>
-
-#include "backend/condensation.h"
 #include "backend/mdav.h"
-#include "common/check.h"
 
 namespace condensa::backend {
+namespace {
 
-Registry::Registry() {
-  Register(MakeCondensationBackend());
-  Register(MakeMdavBackend());
-  Register(MakeMdavEigenBackend());
+StatusOr<core::CondensedGroupSet> MdavConstruct(
+    const std::vector<linalg::Vector>& points, std::size_t k, Rng& /*rng*/) {
+  // MDAV is deterministic; the stream is left untouched.
+  return MdavBuildGroups(points, k);
 }
 
-Registry& Registry::Global() {
-  static Registry* registry = new Registry();
-  return *registry;
+StatusOr<std::vector<linalg::Vector>> MdavSample(
+    const core::GroupStatistics& group, std::size_t count, Rng& /*rng*/) {
+  return CentroidSample(group, count);
 }
 
-void Registry::Register(std::unique_ptr<AnonymizationBackend> backend) {
-  CONDENSA_CHECK(backend != nullptr);
-  const std::string& id = backend->info().id;
-  CONDENSA_CHECK(!id.empty());
-  auto [it, inserted] = backends_.emplace(id, std::move(backend));
-  CONDENSA_CHECK(inserted);
-  (void)it;
+}  // namespace
+
+const std::vector<RegistryEntry>& Registry() {
+  static const std::vector<RegistryEntry>* table =
+      new std::vector<RegistryEntry>{
+          {.backend = {},
+           .summary = "paper condensation: random-seed nearest-neighbour "
+                      "groups, eigendecomposition regeneration (default)"},
+          {.backend = {.id = "mdav",
+                       .construct = MdavConstruct,
+                       .sample = MdavSample},
+           .summary = "MDAV microaggregation: farthest-pair groups, "
+                      "centroid-replacement regeneration"},
+          {.backend = {.id = "mdav-eigen", .construct = MdavConstruct},
+           .summary = "MDAV microaggregation with variance-preserving "
+                      "eigendecomposition regeneration"},
+      };
+  return *table;
 }
 
-StatusOr<const AnonymizationBackend*> Registry::Get(
-    const std::string& id) const {
-  auto it = backends_.find(id);
-  if (it == backends_.end()) {
-    return NotFoundError("unknown backend '" + id + "'; available: " +
-                         IdList());
+StatusOr<core::Backend> Resolve(const std::string& id) {
+  for (const RegistryEntry& entry : Registry()) {
+    if (entry.backend.id == id) return entry.backend;
   }
-  return it->second.get();
+  return NotFoundError("unknown backend '" + id + "'; available: " +
+                       IdList());
 }
 
-std::vector<std::string> Registry::Ids() const {
-  std::vector<std::string> ids;
-  ids.reserve(backends_.size());
-  for (const auto& [id, backend] : backends_) {
-    ids.push_back(id);
-  }
-  return ids;  // std::map iteration is already sorted
-}
-
-std::string Registry::IdList() const {
+std::string IdList() {
   std::string joined;
-  for (const std::string& id : Ids()) {
+  for (const RegistryEntry& entry : Registry()) {
     if (!joined.empty()) joined += ", ";
-    joined += id;
+    joined += entry.backend.id;
   }
   return joined;
-}
-
-Status ApplyBackend(const std::string& id,
-                    core::CondensationConfig* config) {
-  CONDENSA_CHECK(config != nullptr);
-  CONDENSA_ASSIGN_OR_RETURN(const AnonymizationBackend* backend,
-                            Registry::Global().Get(id));
-  config->backend = backend->info().id;
-  config->backend_version = backend->info().version;
-  config->group_construction = backend->ConstructionHook();
-  config->group_sampler = backend->SamplerHook();
-  return OkStatus();
 }
 
 }  // namespace condensa::backend

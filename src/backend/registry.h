@@ -1,57 +1,39 @@
-// String-keyed registry of anonymization backends — what `--backend=`
-// resolves through.
+// The registered anonymization backends — what `--backend=` resolves
+// through.
 //
-// The global registry is constructed on first use with the built-in
-// backends ("condensation", "mdav", "mdav-eigen"); additional backends
-// may be registered at startup, before any concurrent lookups. Lookups
-// of an unknown id fail with a NotFound Status that lists every
-// registered id, which the CLI surfaces verbatim (exit 2).
+// A fixed table of core::Backend values, built on first use and never
+// changed: "condensation" (the all-null default), "mdav" and
+// "mdav-eigen". Resolving an unknown id fails with a NotFound Status
+// that lists every registered id, which the CLI surfaces verbatim
+// (exit 2). Callers assign the resolved value to their config's
+// `backend` member.
 
 #ifndef CONDENSA_BACKEND_REGISTRY_H_
 #define CONDENSA_BACKEND_REGISTRY_H_
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/status.h"
-#include "core/engine.h"
+#include "core/backend_hooks.h"
 
 namespace condensa::backend {
 
-class Registry {
- public:
-  // The process-wide registry, holding the built-ins. Register() calls
-  // must happen before concurrent Get()/Ids() use (no internal locking —
-  // registration is a startup activity).
-  static Registry& Global();
-
-  // Adds a backend. The id must be non-empty and not yet taken (CHECK).
-  void Register(std::unique_ptr<AnonymizationBackend> backend);
-
-  // The backend registered under `id`, valid for the registry's
-  // lifetime; NotFound naming the available ids otherwise.
-  StatusOr<const AnonymizationBackend*> Get(const std::string& id) const;
-
-  // Registered ids in sorted order.
-  std::vector<std::string> Ids() const;
-
-  // The sorted ids joined with ", " — for help text and error messages.
-  std::string IdList() const;
-
- private:
-  Registry();
-
-  std::map<std::string, std::unique_ptr<AnonymizationBackend>> backends_;
+struct RegistryEntry {
+  core::Backend backend;
+  // One-line description for --help listings.
+  std::string summary;
 };
 
-// Resolves `id` against the global registry and binds it into `config`:
-// sets backend/backend_version, the construction hook, and the
-// regeneration hook (null for backends using the built-in sampler).
-// NotFound (listing available ids) on an unknown id.
-Status ApplyBackend(const std::string& id, core::CondensationConfig* config);
+// Every registered backend, sorted by id. One process-wide table.
+const std::vector<RegistryEntry>& Registry();
+
+// The backend registered under `id`; NotFound naming the available ids
+// otherwise.
+StatusOr<core::Backend> Resolve(const std::string& id);
+
+// The sorted ids joined with ", " — for help text and error messages.
+std::string IdList();
 
 }  // namespace condensa::backend
 

@@ -43,13 +43,12 @@ struct AnonymizerOptions {
   // thread count: the caller's Rng is split into one substream per group
   // on the calling thread, in group order, before any worker runs.
   std::size_t num_threads = 0;
-  // Regeneration hook (core/backend_hooks.h): when set, every group's
-  // records come from this sampler instead of the eigendecomposition
-  // path above (the per-group Rng splitting and parallel fan-out are
-  // unchanged). Null = the paper's condensation regeneration,
-  // byte-for-byte. Resolve through backend::Registry rather than setting
-  // it by hand.
-  GroupSamplerFn group_sampler = nullptr;
+  // Anonymization backend (core/backend_hooks.h): when its `sample`
+  // hook is set, every group's records come from it instead of the
+  // eigendecomposition path above (the per-group Rng splitting and
+  // parallel fan-out are unchanged). The default is the paper's
+  // condensation regeneration, byte-for-byte.
+  Backend backend = {};
 };
 
 // Draws `count` anonymized points from an already-computed factorization

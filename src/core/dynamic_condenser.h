@@ -38,16 +38,12 @@ struct DynamicCondenserOptions {
   // ablation A10.
   SplitRule split_rule = SplitRule::kMomentConsistent;
   // Anonymization backend this structure is built and maintained under
-  // (docs/backends.md). Stamped into the group set — and therefore into
-  // every checkpoint snapshot — so FromState (and
-  // DurableCondenser::Recover) refuses state written by a different
-  // backend instead of silently maintaining it.
-  std::string backend = CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
-  // Bootstrap construction hook (core/backend_hooks.h): when set,
-  // Bootstrap builds the initial group structure with it instead of the
-  // built-in StaticCondenser. Null = paper-verbatim static condensation.
-  GroupConstructionFn bootstrap_construction = nullptr;
+  // (docs/backends.md). Its id and version are stamped into the group
+  // set — and therefore into every checkpoint snapshot — so FromState
+  // (and DurableCondenser::Recover) refuses state written by a different
+  // backend instead of silently maintaining it. Bootstrap builds the
+  // initial groups with Backend::BuildGroups.
+  Backend backend = {};
 };
 
 class DynamicCondenser {

@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "core/checkpointing.h"
 #include "core/dynamic_condenser.h"
-#include "core/static_condenser.h"
 #include "obs/timing.h"
 #include "obs/trace.h"
 
@@ -51,14 +50,7 @@ StatusOr<CondensedGroupSet> CondensePool(
   obs::TraceSpan span("engine.condense_pool");
   if (splits_out != nullptr) *splits_out = 0;
   if (config.mode == CondensationMode::kStatic) {
-    if (config.group_construction) {
-      CONDENSA_ASSIGN_OR_RETURN(CondensedGroupSet groups,
-                                config.group_construction(points, k, rng));
-      groups.SetBackend(config.backend, config.backend_version);
-      return groups;
-    }
-    StaticCondenser condenser(StaticCondenserOptions{.group_size = k});
-    return condenser.Condense(points, rng);
+    return config.backend.BuildGroups(points, k, rng);
   }
 
   // Dynamic mode: static bootstrap prefix, then stream the remainder.
@@ -80,9 +72,7 @@ StatusOr<CondensedGroupSet> CondensePool(
   const DynamicCondenserOptions condenser_options{
       .group_size = k,
       .split_rule = config.split_rule,
-      .backend = config.backend,
-      .backend_version = config.backend_version,
-      .bootstrap_construction = config.group_construction};
+      .backend = config.backend};
 
   if (!checkpoint_dir.empty()) {
     CONDENSA_ASSIGN_OR_RETURN(
@@ -189,20 +179,7 @@ Status CondensationConfig::Validate() const {
   if (snapshot_interval < 1) {
     return InvalidArgumentError("snapshot_interval must be >= 1");
   }
-  if (backend.empty()) {
-    return InvalidArgumentError("backend id must be non-empty");
-  }
-  if (backend_version < 1) {
-    return InvalidArgumentError("backend_version must be >= 1");
-  }
-  if (backend != CondensedGroupSet::kDefaultBackendId &&
-      !group_construction) {
-    return InvalidArgumentError(
-        "backend '" + backend +
-        "' has no construction hook bound; resolve the id through "
-        "backend::Registry instead of setting it directly");
-  }
-  return OkStatus();
+  return backend.Validate();
 }
 
 CondensationEngine::CondensationEngine(CondensationConfig config)
@@ -396,7 +373,7 @@ StatusOr<AnonymizationResult> CondensationEngine::Anonymize(
   CONDENSA_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       GenerateRelease(pools, rng, {.num_threads = config_.num_threads,
-                                   .group_sampler = config_.group_sampler}));
+                                   .backend = config_.backend}));
   if (!input.feature_names().empty()) {
     CONDENSA_RETURN_IF_ERROR(
         result.anonymized.SetFeatureNames(input.feature_names()));

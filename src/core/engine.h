@@ -77,25 +77,21 @@ struct CondensationConfig {
   // record into the default registry; pointing this at a private registry
   // isolates only the engine-level series.
   obs::MetricsRegistry* metrics = nullptr;
-  // Anonymization backend identity and hooks (docs/backends.md). The id
-  // is stamped into every produced group set (and so into serialized
-  // pools and checkpoints); the hooks redirect the two pluggable halves
-  // of the pipeline. Null hooks = the built-in condensation path,
-  // byte-identical to a config that never mentions backends. Resolve a
-  // non-default id through backend::Registry (src/backend/registry.h)
-  // rather than filling these by hand; Validate() rejects a non-default
-  // `backend` whose construction hook is missing.
-  std::string backend = CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
-  GroupConstructionFn group_construction = nullptr;
-  GroupSamplerFn group_sampler = nullptr;
+  // Anonymization backend (docs/backends.md). Its id is stamped into
+  // every produced group set (and so into serialized pools and
+  // checkpoints); its hooks redirect the two pluggable halves of the
+  // pipeline. The default value is the built-in condensation path,
+  // byte-identical to a config that never mentions backends. Assign a
+  // non-default one from backend::Resolve (src/backend/registry.h).
+  Backend backend = {};
 
   // Checks every field (group_size >= 1, bootstrap_fraction in [0, 1],
-  // snapshot_interval >= 1). The engine refuses to condense with an
-  // invalid config, returning this Status from Condense/CondensePoints —
-  // constructing the engine itself never aborts. (k = 1 is permitted
-  // here for identity-condensation ablations; the streaming runtime's
-  // StreamPipelineConfig requires k >= 2.)
+  // snapshot_interval >= 1, Backend::Validate). The engine refuses to
+  // condense with an invalid config, returning this Status from
+  // Condense/CondensePoints — constructing the engine itself never
+  // aborts. (k = 1 is permitted here for identity-condensation
+  // ablations; the streaming runtime's StreamPipelineConfig requires
+  // k >= 2.)
   Status Validate() const;
 };
 

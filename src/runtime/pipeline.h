@@ -57,6 +57,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend_hooks.h"
 #include "core/checkpointing.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -77,13 +78,12 @@ struct StreamPipelineConfig {
   std::size_t group_size = 10;
   core::SplitRule split_rule = core::SplitRule::kMomentConsistent;
 
-  // Anonymization backend identity the stream maintains its structure
-  // under (docs/backends.md). Stamped into every checkpoint; recovery
-  // refuses checkpoints written under a different backend. The stream
-  // path itself is backend-independent (pure nearest-centroid
-  // maintenance, no bootstrap), so no hook is needed here.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
+  // Anonymization backend the stream maintains its structure under
+  // (docs/backends.md). Its id and version are stamped into every
+  // checkpoint; recovery refuses checkpoints written under a different
+  // backend. The stream path itself is backend-independent (pure
+  // nearest-centroid maintenance, no bootstrap), so the hooks go unused.
+  core::Backend backend = {};
 
   // Durability: where snapshots/journals live (required), how often to
   // snapshot (>= 1), whether to fsync every journal append.

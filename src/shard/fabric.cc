@@ -104,7 +104,7 @@ Status FabricConfig::Validate() const {
     }
   }
   // NotFound here lists the registered ids, which the CLI surfaces.
-  CONDENSA_RETURN_IF_ERROR(backend::Registry::Global().Get(backend).status());
+  CONDENSA_RETURN_IF_ERROR(backend::Resolve(backend).status());
   if (connect_timeout_ms <= 0 || io_timeout_ms <= 0 ||
       ack_timeout_ms <= 0 || finish_timeout_ms <= 0 ||
       heartbeat_interval_ms <= 0 || heartbeat_timeout_ms <= 0) {
@@ -194,8 +194,7 @@ StatusOr<std::unique_ptr<FabricService>> FabricService::Start(
       new FabricService(std::move(config)));
   const FabricConfig& cfg = service->config_;
   const std::size_t shards = cfg.shard_count();
-  CONDENSA_ASSIGN_OR_RETURN(service->backend_,
-                            backend::Registry::Global().Get(cfg.backend));
+  CONDENSA_ASSIGN_OR_RETURN(service->backend_, backend::Resolve(cfg.backend));
 
   // One seed derivation for both transports — the first half of the
   // bit-identity contract (the second is gather order).
@@ -472,9 +471,7 @@ WorkerOptions FabricService::LocalWorkerOptions(
   options.batch_size = config_.batch_size;
   options.seed = shard_seeds_[shard];
   options.worker_id = worker_id;
-  options.backend = backend_->info().id;
-  options.backend_version = backend_->info().version;
-  options.construction = backend_->ConstructionHook();
+  options.backend = backend_;
   return options;
 }
 

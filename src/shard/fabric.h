@@ -78,9 +78,9 @@
 #include <utility>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend_hooks.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -120,7 +120,7 @@ struct FabricConfig {
   ShardPolicy policy = ShardPolicy::kHash;
   std::uint64_t seed = 42;
 
-  // Anonymization backend id, resolved through backend::Registry at
+  // Anonymization backend id, resolved through backend::Resolve at
   // Start and used by every shard (carried to remote workers in the
   // Hello; a worker that cannot resolve it rejects the session).
   std::string backend = core::CondensedGroupSet::kDefaultBackendId;
@@ -315,7 +315,7 @@ class FabricService {
 
   FabricConfig config_;
   // Resolved from config_.backend at Start.
-  const backend::AnonymizationBackend* backend_ = nullptr;
+  core::Backend backend_;
   Router router_;
   // Per-shard substreams split from Rng(seed) in shard order; each
   // shard's seed is its stream's first draw, and a batch shard condenses

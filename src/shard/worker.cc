@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/group_statistics.h"
-#include "core/static_condenser.h"
 #include "obs/metrics.h"
 
 namespace condensa::shard {
@@ -40,17 +39,8 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(
   if (options.group_size == 0) {
     return InvalidArgumentError("group_size must be >= 1");
   }
-  if (options.backend.empty() || options.backend_version < 1) {
-    return InvalidArgumentError("worker backend id/version must be set");
-  }
-  if (options.mode == WorkerMode::kStaticBatch &&
-      options.backend != core::CondensedGroupSet::kDefaultBackendId &&
-      !options.construction) {
-    return InvalidArgumentError(
-        "backend '" + options.backend +
-        "' needs a group-construction hook in batch mode; resolve the id "
-        "through backend::Registry");
-  }
+  CONDENSA_RETURN_IF_ERROR(options.backend.Validate(
+      /*builds_groups=*/options.mode == WorkerMode::kStaticBatch));
   std::unique_ptr<Worker> worker(new Worker(shard_id, dim, options));
   // GCC 12 reports a false -Wrestrict inside libstdc++ for
   // `"literal" + std::string&&` (GCC bug 105329); no bytes overlap.
@@ -78,7 +68,6 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(
     config.batch_size = options.batch_size;
     config.seed = options.seed;
     config.backend = options.backend;
-    config.backend_version = options.backend_version;
     CONDENSA_ASSIGN_OR_RETURN(worker->pipeline_,
                               runtime::StreamPipeline::Start(config));
   }
@@ -127,21 +116,14 @@ StatusOr<core::CondensedGroupSet> Worker::Finish(Rng& rng) {
   finished_ = true;
 
   core::CondensedGroupSet groups(dim_, options_.group_size);
-  groups.SetBackend(options_.backend, options_.backend_version);
+  groups.SetBackend(options_.backend.id, options_.backend.version);
   if (pipeline_ != nullptr) {
     CONDENSA_ASSIGN_OR_RETURN(stream_stats_, pipeline_->Finish());
     CONDENSA_ASSIGN_OR_RETURN(groups, pipeline_->TakeGroups());
   } else if (buffer_.size() >= options_.group_size) {
-    if (options_.construction) {
-      CONDENSA_ASSIGN_OR_RETURN(
-          groups, options_.construction(buffer_, options_.group_size, rng));
-      groups.SetBackend(options_.backend, options_.backend_version);
-    } else {
-      core::StaticCondenser condenser(
-          {.group_size = options_.group_size});
-      CONDENSA_ASSIGN_OR_RETURN(groups, condenser.Condense(buffer_, rng));
-      groups.SetBackend(options_.backend, options_.backend_version);
-    }
+    CONDENSA_ASSIGN_OR_RETURN(
+        groups, options_.backend.BuildGroups(buffer_, options_.group_size,
+                                             rng));
     buffer_.clear();
   } else if (!buffer_.empty()) {
     // Partition below the k-floor: emit the remainder as one sub-k group

@@ -75,14 +75,9 @@ struct WorkerOptions {
   std::string worker_id;
 
   // Anonymization backend (docs/backends.md) stamped into this shard's
-  // group set and checkpoints. Callers resolve the id through
-  // backend::Registry; a non-default backend needs `construction` set
-  // for kStaticBatch mode (Start rejects the combination otherwise).
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
-  // kStaticBatch group construction strategy; null runs the built-in
-  // condensation pass.
-  core::GroupConstructionFn construction;
+  // group set and checkpoints; kStaticBatch builds its groups with
+  // Backend::BuildGroups. Callers assign it from backend::Resolve.
+  core::Backend backend = {};
 };
 
 class Worker {

@@ -136,16 +136,13 @@ Status WorkerServer::HandleHello(net::TcpConnection& conn,
     // The coordinator names the anonymization backend in the hello; an
     // id this build cannot resolve rejects the session up front instead
     // of condensing under the wrong strategy.
-    StatusOr<const backend::AnonymizationBackend*> resolved =
-        backend::Registry::Global().Get(hello->backend);
+    StatusOr<core::Backend> resolved = backend::Resolve(hello->backend);
     if (!resolved.ok()) {
       SendError(conn, resolved.status());
       return OkStatus();
     }
     WorkerOptions options;
-    options.backend = (*resolved)->info().id;
-    options.backend_version = (*resolved)->info().version;
-    options.construction = (*resolved)->ConstructionHook();
+    options.backend = *std::move(resolved);
     options.mode = WorkerMode::kDurableStream;
     options.group_size = static_cast<std::size_t>(hello->group_size);
     options.split_rule = static_cast<core::SplitRule>(hello->split_rule);

@@ -47,7 +47,9 @@ TEST(BackendParityTest, StaticCondenseIsByteIdenticalToHooklessConfig) {
                     core::CondensationMode::kDynamic}) {
     core::CondensationConfig plain = BareConfig(mode);
     core::CondensationConfig resolved = BareConfig(mode);
-    ASSERT_TRUE(ApplyBackend("condensation", &resolved).ok());
+    auto backend = Resolve("condensation");
+    ASSERT_TRUE(backend.ok());
+    resolved.backend = *backend;
 
     Rng plain_rng(77);
     Rng resolved_rng(77);
@@ -70,7 +72,9 @@ TEST(BackendParityTest, ReleaseIsByteIdenticalToHooklessConfig) {
   core::CondensationConfig plain = BareConfig(core::CondensationMode::kStatic);
   core::CondensationConfig resolved =
       BareConfig(core::CondensationMode::kStatic);
-  ASSERT_TRUE(ApplyBackend("condensation", &resolved).ok());
+  auto backend = Resolve("condensation");
+  ASSERT_TRUE(backend.ok());
+  resolved.backend = *backend;
 
   Rng plain_rng(31);
   Rng resolved_rng(31);
@@ -108,7 +112,9 @@ TEST(BackendParityTest, MdavEndToEndStampsAndBoundsGroups) {
   const data::Dataset dataset = MakeClassificationDataset(60);
   core::CondensationConfig config =
       BareConfig(core::CondensationMode::kStatic);
-  ASSERT_TRUE(ApplyBackend("mdav", &config).ok());
+  auto backend = Resolve("mdav");
+  ASSERT_TRUE(backend.ok());
+  config.backend = *backend;
   Rng rng(9);
   auto pools = core::CondensationEngine(config).Condense(dataset, rng);
   ASSERT_TRUE(pools.ok());

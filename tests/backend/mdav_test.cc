@@ -5,10 +5,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "backend/backend.h"
+#include "backend/registry.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/condensed_group_set.h"
@@ -157,8 +156,9 @@ TEST(MdavTest, ConstructionHookNeverDrawsFromTheRng) {
   const std::vector<Vector> points = MakePoints(40, 3, 31);
   Rng used(123);
   Rng untouched(123);
-  auto backend = MakeMdavBackend();
-  auto groups = backend->ConstructionHook()(points, 5, used);
+  auto backend = Resolve("mdav");
+  ASSERT_TRUE(backend.ok());
+  auto groups = backend->BuildGroups(points, 5, used);
   ASSERT_TRUE(groups.ok());
   // MDAV is deterministic: the rng passed through the hook must come out
   // in the same state it went in.
@@ -176,13 +176,15 @@ TEST(MdavTest, RejectsDegenerateInputs) {
 }
 
 TEST(MdavTest, BackendIdentities) {
-  auto mdav = MakeMdavBackend();
-  EXPECT_EQ(mdav->info().id, "mdav");
-  EXPECT_NE(mdav->regeneration(), nullptr);
-  auto eigen = MakeMdavEigenBackend();
-  EXPECT_EQ(eigen->info().id, "mdav-eigen");
-  // Null regeneration = inherit the built-in eigendecomposition sampler.
-  EXPECT_EQ(eigen->regeneration(), nullptr);
+  auto mdav = Resolve("mdav");
+  ASSERT_TRUE(mdav.ok());
+  EXPECT_EQ(mdav->id, "mdav");
+  EXPECT_TRUE(static_cast<bool>(mdav->sample));
+  auto eigen = Resolve("mdav-eigen");
+  ASSERT_TRUE(eigen.ok());
+  EXPECT_EQ(eigen->id, "mdav-eigen");
+  // Null sample = inherit the built-in eigendecomposition sampler.
+  EXPECT_FALSE(static_cast<bool>(eigen->sample));
 }
 
 TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
@@ -192,9 +194,10 @@ TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
   stats.Add(Vector{5.0, 10.0});
   const Vector centroid = stats.Centroid();
   Rng rng(1);
-  auto mdav = MakeMdavBackend();
-  ASSERT_NE(mdav->regeneration(), nullptr);
-  auto sample = mdav->regeneration()->Sample(stats, 3, rng);
+  auto mdav = Resolve("mdav");
+  ASSERT_TRUE(mdav.ok());
+  ASSERT_TRUE(static_cast<bool>(mdav->sample));
+  auto sample = mdav->sample(stats, 3, rng);
   ASSERT_TRUE(sample.ok());
   ASSERT_EQ(sample->size(), 3u);
   for (const Vector& record : *sample) {

@@ -14,6 +14,7 @@
 #include "common/io.h"
 #include "common/random.h"
 #include "core/serialization.h"
+#include "core/static_condenser.h"
 #include "obs/metrics.h"
 
 namespace condensa::core {
@@ -249,7 +250,16 @@ TEST_F(CheckpointingTest, IncrementalSnapshotsMatchFullSerialization) {
                         Case{"mdav", "mdav", true}}) {
     SCOPED_TRACE(c.label);
     DynamicCondenserOptions options = GroupSize(4);
-    options.backend = c.backend;
+    options.backend.id = c.backend;
+    if (options.backend.id != CondensedGroupSet::kDefaultBackendId) {
+      // A stamped backend brings its own construction hook to Bootstrap.
+      // The paper's construction stands in for it, so the groups match
+      // the default cases' and only the stamp differs.
+      options.backend.construct = [](const std::vector<Vector>& points,
+                                     std::size_t k, Rng& rng) {
+        return StaticCondenser({.group_size = k}).Condense(points, rng);
+      };
+    }
     DurabilityOptions durability;
     durability.snapshot_interval = 3;
     durability.sync_every_append = false;
@@ -472,7 +482,7 @@ TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
   const std::string dir = FreshDir();
   {
     auto durable = DurableCondenser::Create(
-        3, {.group_size = 4, .backend = "mdav"}, {}, dir);
+        3, {.group_size = 4, .backend = {.id = "mdav"}}, {}, dir);
     ASSERT_TRUE(durable.ok());
     for (const Vector& record : MakeStream(19, 3, 33)) {
       ASSERT_TRUE(durable->Insert(record).ok());
@@ -489,13 +499,13 @@ TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
 
   // Same backend, wrong version: also refused.
   auto wrong_version = DurableCondenser::Recover(
-      dir, {.group_size = 4, .backend = "mdav", .backend_version = 2}, {});
+      dir, {.group_size = 4, .backend = {.id = "mdav", .version = 2}}, {});
   ASSERT_FALSE(wrong_version.ok());
   EXPECT_EQ(wrong_version.status().code(), StatusCode::kFailedPrecondition);
 
   // The matching backend recovers cleanly and keeps the stamp.
   auto matched = DurableCondenser::Recover(
-      dir, {.group_size = 4, .backend = "mdav"}, {});
+      dir, {.group_size = 4, .backend = {.id = "mdav"}}, {});
   ASSERT_TRUE(matched.ok());
   EXPECT_EQ(matched->condenser().groups().backend_id(), "mdav");
   EXPECT_EQ(matched->records_seen(), 19u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -186,6 +187,40 @@ TEST(CoordinatorTest, RejectsDimensionMismatch) {
   Coordinator coordinator({.group_size = 5});
   auto gathered = coordinator.Gather(std::move(sets), nullptr);
   EXPECT_TRUE(IsInvalidArgument(gathered.status()));
+}
+
+TEST(CoordinatorTest, RejectsBackendDisagreement) {
+  struct Case {
+    const char* label;
+    const char* second_id;
+    int second_version;
+  };
+  for (const Case& c : {Case{"id mismatch", "mdav-eigen", 1},
+                        Case{"version mismatch", "mdav", 2}}) {
+    SCOPED_TRACE(c.label);
+    Rng rng(8);
+    std::vector<CondensedGroupSet> sets;
+    sets.push_back(MakeShardSet({5, 6}, 2, 5, rng));
+    sets.push_back(MakeShardSet({7}, 2, 5, rng));
+    sets[0].SetBackend("mdav", 1);
+    sets[1].SetBackend(c.second_id, c.second_version);
+    Coordinator coordinator({.group_size = 5});
+    auto gathered = coordinator.Gather(std::move(sets), nullptr);
+    ASSERT_TRUE(IsInvalidArgument(gathered.status())) << gathered.status();
+    const std::string message(gathered.status().message());
+    EXPECT_NE(message.find(c.second_id), std::string::npos) << message;
+  }
+  // The same (id, version) on every shard gathers and keeps the stamp.
+  Rng rng(8);
+  std::vector<CondensedGroupSet> sets;
+  sets.push_back(MakeShardSet({5, 6}, 2, 5, rng));
+  sets.push_back(MakeShardSet({7}, 2, 5, rng));
+  for (CondensedGroupSet& set : sets) set.SetBackend("mdav", 2);
+  auto gathered = Coordinator({.group_size = 5}).Gather(std::move(sets),
+                                                        nullptr);
+  ASSERT_TRUE(gathered.ok()) << gathered.status();
+  EXPECT_EQ(gathered->backend_id(), "mdav");
+  EXPECT_EQ(gathered->backend_version(), 2);
 }
 
 TEST(CoordinatorTest, GatherIsDeterministic) {

@@ -180,6 +180,20 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     echo "FAIL: mdav snapshot missing 'backend mdav 1' stamp" >&2
     failures=$((failures + 1))
   fi
+  # A stamp whose version this build does not provide refuses to
+  # regenerate (exit 1) and names both versions.
+  sed 's/^backend mdav 1$/backend mdav 7/' "$workdir/groups-mdav.bin" \
+    > "$workdir/groups-mdav-v7.bin"
+  expect_code 1 "generate refuses a backend version it does not provide" \
+    "$CLI" generate --groups="$workdir/groups-mdav-v7.bin" \
+    --output="$workdir/v7.csv"
+  if "$CLI" generate --groups="$workdir/groups-mdav-v7.bin" \
+      --output="$workdir/v7.csv" 2>&1 | grep -q "version 7.*version 1"; then
+    echo "ok: backend version mismatch names both versions"
+  else
+    echo "FAIL: backend version mismatch does not name both versions" >&2
+    failures=$((failures + 1))
+  fi
   "$CLI" query-server --groups="$workdir/groups.bin" --port=0 \
       --max-sessions=4 --deadline-ms=5000 > "$workdir/server.out" 2>&1 &
   server_pid=$!

@@ -41,14 +41,14 @@ bool ParseEndpoint(const std::string& text, std::string* host,
   return true;
 }
 
-const backend::AnonymizationBackend* ResolveBackend(const std::string& id) {
-  StatusOr<const backend::AnonymizationBackend*> resolved =
-      backend::Registry::Global().Get(id);
+int ResolveBackend(const std::string& id, core::Backend* out) {
+  StatusOr<core::Backend> resolved = backend::Resolve(id);
   if (!resolved.ok()) {
     std::fprintf(stderr, "error: %s\n", resolved.status().message().c_str());
-    return nullptr;
+    return 2;
   }
-  return *resolved;
+  *out = *std::move(resolved);
+  return 0;
 }
 
 int LoadCsv(const std::string& path, data::TaskType task, bool header,
@@ -158,11 +158,11 @@ int WriteRelease(const data::Dataset& release, const std::string& path) {
 }
 
 int WriteGroupRelease(const core::CondensedGroupSet& groups,
-                      const core::GroupSamplerFn& sampler, Rng& rng,
+                      const core::Backend& backend, Rng& rng,
                       const std::string& path) {
   if (path.empty()) return 0;
   core::AnonymizerOptions options;
-  options.group_sampler = sampler;
+  options.backend = backend;
   auto records = core::Anonymizer(options).Generate(groups, rng);
   if (!records.ok()) return Fail("release generation failed", records.status());
   data::Dataset release(groups.dim());

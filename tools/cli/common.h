@@ -69,10 +69,9 @@ int ExitFor(const std::string& what, const Status& status);
 bool ParseEndpoint(const std::string& text, std::string* host,
                    std::uint16_t* port);
 
-// Resolves --backend against the global registry. On an unknown id,
-// prints the registry's message (which lists every registered id) and
-// returns nullptr; the caller exits 2.
-const backend::AnonymizationBackend* ResolveBackend(const std::string& id);
+// Resolves --backend into `out`. On an unknown id, prints the
+// registry's message (which lists every registered id) and returns 2.
+int ResolveBackend(const std::string& id, core::Backend* out);
 
 int LoadCsv(const std::string& path, data::TaskType task, bool header,
             int label_column, data::Dataset* out);
@@ -101,10 +100,10 @@ int SavePools(const core::CondensedPools& pools, const std::string& path);
 
 int WriteRelease(const data::Dataset& release, const std::string& path);
 
-// Regenerates a release from `groups` with `sampler` (null: the built-in
-// eigendecomposition sampler) and writes it; no-op when `path` is empty.
+// Regenerates a release from `groups` with `backend`'s sampler and
+// writes it; no-op when `path` is empty.
 int WriteGroupRelease(const core::CondensedGroupSet& groups,
-                      const core::GroupSamplerFn& sampler, Rng& rng,
+                      const core::Backend& backend, Rng& rng,
                       const std::string& path);
 
 // Where `query` and `query-server` read condensed state from: a saved

@@ -40,7 +40,9 @@ int Run(FlagSet& flags) {
              "also save pool statistics for `generate`");
   if (!flags.Parse()) return flags.exit_code();
   // Fail an unknown backend before any file I/O: a usage error, exit 2.
-  if (ResolveBackend(backend_id) == nullptr) return 2;
+  if (int code = ResolveBackend(backend_id, &engine_config.backend)) {
+    return code;
+  }
 
   data::Dataset dataset(0);
   if (int code = LoadCsv(input, task, header, label_column, &dataset)) {
@@ -50,14 +52,12 @@ int Run(FlagSet& flags) {
                dataset.size(), dataset.dim(), input.c_str());
 
   Rng rng(seed);
-  Status backend_status = backend::ApplyBackend(backend_id, &engine_config);
-  if (!backend_status.ok()) return UsageError(backend_status.message());
   auto pools = core::CondensationEngine(engine_config).Condense(dataset, rng);
   if (!pools.ok()) return Fail("condensation failed", pools.status());
   if (int code = SavePools(*pools, save_groups)) return code;
 
   core::AnonymizerOptions anonymizer_options;
-  anonymizer_options.group_sampler = engine_config.group_sampler;
+  anonymizer_options.backend = engine_config.backend;
   auto result = core::GenerateRelease(*pools, rng, anonymizer_options);
   if (!result.ok()) return Fail("release generation failed", result.status());
   if (int code = WriteRelease(result->anonymized, output)) return code;

@@ -70,9 +70,9 @@ int Run(FlagSet& flags) {
   if (!ParseWorkerList(workers, &config.workers)) {
     return UsageError("--workers=HOST:PORT[,HOST:PORT...] is required");
   }
-  const backend::AnonymizationBackend* backend = ResolveBackend(backend_id);
-  if (backend == nullptr) return 2;
-  config.backend = backend->info().id;
+  core::Backend backend;
+  if (int code = ResolveBackend(backend_id, &backend)) return code;
+  config.backend = backend_id;
 
   std::vector<linalg::Vector> stream;
   if (int code = ReadStream(input, header, config.seed, records, config.dim,
@@ -99,8 +99,7 @@ int Run(FlagSet& flags) {
   PrintGroupSummary(result->groups, "");
   if (int code = SaveGroups(result->groups, save_groups)) return code;
   Rng rng(seed);
-  if (int code = WriteGroupRelease(result->groups, backend->SamplerHook(), rng,
-                                   output)) {
+  if (int code = WriteGroupRelease(result->groups, backend, rng, output)) {
     return code;
   }
   DumpMetrics(format);

@@ -26,20 +26,21 @@ int Run(FlagSet& flags) {
   // The groups file records which backend built it; regenerate with
   // that backend's sampler. The default condensation stamp keeps the
   // built-in eigendecomposition sampler, byte-for-byte.
-  std::string recorded_backend = core::CondensedGroupSet::kDefaultBackendId;
-  if (!pools->pools.empty()) {
-    recorded_backend = pools->pools.front().groups.backend_id();
-  }
-  auto resolved = backend::Registry::Global().Get(recorded_backend);
-  if (!resolved.ok()) {
-    std::fprintf(stderr,
-                 "error: %s was written by a backend this build cannot "
-                 "regenerate: %s\n",
-                 groups_path.c_str(), resolved.status().message().c_str());
-    return 1;
-  }
   core::AnonymizerOptions anonymizer_options;
-  anonymizer_options.group_sampler = (*resolved)->SamplerHook();
+  if (!pools->pools.empty()) {
+    const core::CondensedGroupSet& groups = pools->pools.front().groups;
+    auto resolved = backend::Resolve(groups.backend_id());
+    if (!resolved.ok()) {
+      std::fprintf(stderr,
+                   "error: %s was written by a backend this build cannot "
+                   "regenerate: %s\n",
+                   groups_path.c_str(), resolved.status().message().c_str());
+      return 1;
+    }
+    Status stamp = resolved->CheckStamp(groups);
+    if (!stamp.ok()) return Fail("cannot regenerate " + groups_path, stamp);
+    anonymizer_options.backend = *std::move(resolved);
+  }
   Rng rng(seed);
   auto result = core::GenerateRelease(*pools, rng, anonymizer_options);
   if (!result.ok()) return Fail("release generation failed", result.status());

@@ -34,17 +34,13 @@ int Run(FlagSet& flags) {
   flags.Bool("header", &header, "first CSV row is a header");
   flags.Seed("seed", &seed, 42, "RNG seed for the bootstrap pass");
   if (!flags.Parse()) return flags.exit_code();
-  const backend::AnonymizationBackend* backend = ResolveBackend(backend_id);
-  if (backend == nullptr) return 2;
+  if (int code = ResolveBackend(backend_id, &options.backend)) return code;
 
   data::Dataset dataset(0);
   if (int code =
           LoadCsv(input, data::TaskType::kUnlabeled, header, -1, &dataset)) {
     return code;
   }
-  options.backend = backend->info().id;
-  options.backend_version = backend->info().version;
-  options.bootstrap_construction = backend->ConstructionHook();
   durability.sync_every_append = !no_sync;
   auto durable =
       core::DurableCondenser::Open(dataset.dim(), options, durability, dir);

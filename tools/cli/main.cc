@@ -44,11 +44,9 @@ void PrintUsage(std::FILE* out) {
   std::fputs(
       "\nanonymization backends (--backend=ID; default condensation):\n",
       out);
-  backend::Registry& registry = backend::Registry::Global();
-  for (const std::string& id : registry.Ids()) {
-    auto resolved = registry.Get(id);
-    std::fprintf(out, "  %-12s %s\n", id.c_str(),
-                 resolved.ok() ? (*resolved)->info().summary.c_str() : "");
+  for (const backend::RegistryEntry& entry : backend::Registry()) {
+    std::fprintf(out, "  %-12s %s\n", entry.backend.id.c_str(),
+                 entry.summary.c_str());
   }
   std::fputs(
       "\n`condensa <command> --help` describes one command's flags in "

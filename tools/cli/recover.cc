@@ -24,12 +24,8 @@ int Run(FlagSet& flags) {
              "backend the state was built with; a mismatched checkpoint "
              "refuses to load");
   if (!flags.Parse()) return flags.exit_code();
-  const backend::AnonymizationBackend* backend = ResolveBackend(backend_id);
-  if (backend == nullptr) return 2;
+  if (int code = ResolveBackend(backend_id, &options.backend)) return code;
 
-  options.backend = backend->info().id;
-  options.backend_version = backend->info().version;
-  options.bootstrap_construction = backend->ConstructionHook();
   auto durable = core::DurableCondenser::Recover(dir, options,
                                                  core::DurabilityOptions{});
   if (!durable.ok()) {

@@ -104,10 +104,7 @@ int Run(FlagSet& flags) {
   flags.Enum("format", &format, MetricsFormat::kNone, kMetricsFormats,
              "also dump the metrics registry");
   if (!flags.Parse()) return flags.exit_code();
-  const backend::AnonymizationBackend* backend = ResolveBackend(backend_id);
-  if (backend == nullptr) return 2;
-  config.backend = backend->info().id;
-  config.backend_version = backend->info().version;
+  if (int code = ResolveBackend(backend_id, &config.backend)) return code;
   config.sync_every_append = !no_sync;
 
   std::vector<linalg::Vector> stream;
@@ -130,7 +127,7 @@ int Run(FlagSet& flags) {
     sharded.queue_capacity = config.queue_capacity;
     sharded.batch_size = config.batch_size;
     sharded.seed = config.seed;
-    sharded.backend = config.backend;
+    sharded.backend = backend_id;
     return RunSharded(sharded, chaos, format, stream);
   }
 

@@ -57,9 +57,9 @@ int Run(FlagSet& flags) {
       config.checkpoint_root.empty()) {
     return UsageError("--checkpoint-root is required with --mode=stream");
   }
-  const backend::AnonymizationBackend* backend = ResolveBackend(backend_id);
-  if (backend == nullptr) return 2;
-  config.backend = backend->info().id;
+  core::Backend backend;
+  if (int code = ResolveBackend(backend_id, &backend)) return code;
+  config.backend = backend_id;
   config.sync_every_append = !no_sync;
 
   std::vector<linalg::Vector> data;
@@ -93,8 +93,7 @@ int Run(FlagSet& flags) {
   std::printf("gather: %s\n", result->gather.ToString().c_str());
   PrintGroupSummary(result->groups, "");
   if (int code = SaveGroups(result->groups, save_groups)) return code;
-  if (int code = WriteGroupRelease(result->groups, backend->SamplerHook(), rng,
-                                   output)) {
+  if (int code = WriteGroupRelease(result->groups, backend, rng, output)) {
     return code;
   }
   DumpMetrics(format);
